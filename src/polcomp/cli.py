@@ -9,7 +9,9 @@ Subcommands: eq1d, eqkd, classify, spread, dspread, welfare,
 premium-sweep, info, dynamics, validate.
 
 Exit codes: 0 success, 2 schema violation, 3 model precondition failure,
-4 internal consistency failure.
+4 internal consistency failure or any other unexpected error.
+
+``--threads N`` (N >= 1) is accepted but has no effect: sweep rows run sequentially.
 
 Scenario files are strict JSON; unknown keys are rejected anywhere::
 
@@ -60,7 +62,6 @@ Identical scenario files (and seed) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -350,14 +351,12 @@ def _cmd_dspread(dist, bundle, shock, seed, task):
         raise SchemaError("task.cap must be a positive integer")
     candidate = _parse_distribution(task["candidate"], "task.candidate")
     cmp = eqkd.compare_directional_spread_payoffs(dist, candidate, bundle.nu, shock, cap=cap)
-    base_report = eqkd.party_preferred_equilibria(dist, bundle.nu, shock, cap=cap)
-    cand_report = eqkd.party_preferred_equilibria(candidate, bundle.nu, shock, cap=cap)
     record = {"base_payoff": cmp.base_payoff, "candidate_payoff": cmp.candidate_payoff,
               "base_sq_distance": cmp.base_sq_distance,
               "candidate_sq_distance": cmp.candidate_sq_distance,
               "direction": list(cmp.direction)}
-    hdr_b, rows_b = _scatter_rows(dist, base_report)
-    hdr_c, rows_c = _scatter_rows(candidate, cand_report)
+    hdr_b, rows_b = _scatter_rows(dist, cmp.base_report)
+    hdr_c, rows_c = _scatter_rows(candidate, cmp.candidate_report)
     return record, {"dspread_scatter_base.csv": (hdr_b, rows_b),
                     "dspread_scatter_candidate.csv": (hdr_c, rows_c)}
 
@@ -386,7 +385,7 @@ def _cmd_welfare(dist, bundle, shock, seed, task):
     return record, {"welfare_lottery.csv": (["outcome", "probability"], rows)}
 
 
-def _cmd_premium_sweep(dist, bundle, shock, seed, task, threads=1):
+def _cmd_premium_sweep(dist, bundle, shock, seed, task):
     _expect(task, "task", required=("premiums",))
     prem = task["premiums"]
     if (not isinstance(prem, list) or not prem
@@ -394,17 +393,7 @@ def _cmd_premium_sweep(dist, bundle, shock, seed, task, threads=1):
         raise SchemaError("task.premiums must be a non-empty list of numbers")
     if bundle.utility is None:
         raise PreconditionError("premium sweep requires a utility preset payoff")
-    if threads > 1:
-        def one(p):
-            return welf.premium_sweep(dist, bundle.utility, bundle.total, [p], shock).rows[0]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, [float(p) for p in prem]))
-        median, midx = eq1d.median_bliss(dist)
-        share = float(dist.shares[midx]) if midx is not None else 0.0
-        sweep = welf.PremiumSweep(rows=tuple(rows), median=median, median_share=share,
-                                  limit_assertions=share > 0.0)
-    else:
-        sweep = welf.premium_sweep(dist, bundle.utility, bundle.total, prem, shock)
+    sweep = welf.premium_sweep(dist, bundle.utility, bundle.total, prem, shock)
     record = {"median": sweep.median, "median_share": sweep.median_share,
               "limit_assertions": sweep.limit_assertions,
               "rows": [dict(zip(welf.SWEEP_COLUMNS, r.astuple())) for r in sweep.rows]}
@@ -491,7 +480,8 @@ def run(subcommand: str, scenario: dict, out_dir, fmt: str = "json", threads: in
 
     Writes the JSON record (and CSVs per ``fmt``) into ``out_dir``. Raises
     SchemaError / PreconditionError / InternalConsistencyError; the
-    ``main`` wrapper maps those onto exit codes.
+    ``main`` wrapper maps those onto exit codes. ``threads`` has no
+    effect: sweep rows are computed sequentially.
     """
     if subcommand not in SUBCOMMANDS:
         raise SchemaError(f"unknown subcommand {subcommand!r}")
@@ -506,13 +496,12 @@ def run(subcommand: str, scenario: dict, out_dir, fmt: str = "json", threads: in
     failures = []
     if subcommand == "validate":
         record, csvs, failures = _cmd_validate(dist, bundle, shock, seed, task)
-    elif subcommand == "premium-sweep":
-        record, csvs = _cmd_premium_sweep(dist, bundle, shock, seed, task, threads=threads)
     else:
         handler = {
             "eq1d": _cmd_eq1d, "eqkd": _cmd_eqkd, "classify": _cmd_classify,
             "spread": _cmd_spread, "dspread": _cmd_dspread, "welfare": _cmd_welfare,
-            "info": _cmd_info, "dynamics": _cmd_dynamics,
+            "premium-sweep": _cmd_premium_sweep, "info": _cmd_info,
+            "dynamics": _cmd_dynamics,
         }[subcommand]
         record, csvs = handler(dist, bundle, shock, seed, task)
 
@@ -571,13 +560,16 @@ def main(argv=None) -> int:
     parser.add_argument("--format", default="json", choices=("json", "csv", "both"),
                         dest="fmt", help="artifacts to write besides the JSON record")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep rows (default: 1)")
+                        help="accepted for compatibility; sweep rows run sequentially")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     args = parser.parse_args(argv)
     try:
         raw = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except json.JSONDecodeError as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
@@ -596,6 +588,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return 0
 

@@ -28,6 +28,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _sorted_gap_lottery,
     as_pair,
     expected_payoff,
     preference_gaps,
@@ -68,10 +69,24 @@ def platforms_for_ranking(ranking, dist: VoterDistribution, nu: ReducedPayoff) -
     """
     _validate_ranking(ranking, dist)
     nu.require_strictly_concave()
+    return PlatformPair(*_ranking_sides(ranking, dist, nu))
+
+
+def _ranking_sides(ranking, dist, nu):
     idx = np.asarray(ranking, dtype=int)
     w_low, w_high = equilibrium_weights(dist.shares[idx], nu)
     pts = dist.bliss[idx]
-    return PlatformPair(w_high @ pts, w_low @ pts)
+    return w_high @ pts, w_low @ pts
+
+
+def _ranking_platforms(dist, nu, cap, advice=""):
+    """``(perm, high side, low side)`` for every permutation, lexicographically."""
+    if dist.n_types > cap:
+        raise PreconditionError(
+            f"{dist.n_types} types exceed the factorial cap {cap}{advice}")
+    nu.require_strictly_concave()
+    return ((perm, *_ranking_sides(perm, dist, nu))
+            for perm in itertools.permutations(range(dist.n_types)))
 
 
 def _validate_ranking(ranking, dist):
@@ -103,15 +118,13 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     exact integrator: both parties' expected payoffs must match the
     distance identity within 1e-8.
     """
-    if dist.n_types > cap:
-        raise PreconditionError(
-            f"{dist.n_types} types exceed the factorial cap {cap}; "
-            "use best_response_dynamics for larger electorates")
+    rows = _ranking_platforms(dist, nu, cap,
+                              "; use best_response_dynamics for larger electorates")
     nu.require_normalized()
     base = _payoff_base(nu)
     found = []
-    for perm in itertools.permutations(range(dist.n_types)):
-        pair = platforms_for_ranking(perm, dist, nu)
+    for perm, high, low in rows:
+        pair = PlatformPair(high, low)
         if induced_ranking(pair, dist, tol) != perm:
             continue
         sq = pair.sq_distance
@@ -139,19 +152,8 @@ def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff, cap: int = F
     Ordered lexicographically by generating permutation, high side first,
     so index order breaks payoff ties deterministically.
     """
-    if dist.n_types > cap:
-        raise PreconditionError(
-            f"{dist.n_types} types exceed the factorial cap {cap}")
-    nu.require_strictly_concave()
-    rows = []
-    for perm in itertools.permutations(range(dist.n_types)):
-        idx = np.asarray(perm, dtype=int)
-        w_low, w_high = equilibrium_weights(dist.shares[idx], nu)
-        pts = dist.bliss[idx]
-        rows.append(w_high @ pts)
-        rows.append(w_low @ pts)
-    cands = np.vstack(rows)
-    return cands
+    return np.vstack([side for _, high, low in _ranking_platforms(dist, nu, cap)
+                      for side in (high, low)])
 
 
 def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
@@ -161,22 +163,14 @@ def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
     d_cand = np.einsum("mnk,mnk->mn", diff, diff)
     gaps = d_opp[None, :] - d_cand
     order = np.argsort(gaps, axis=1, kind="stable")
-    g = np.take_along_axis(gaps, order, axis=1)
-    s = dist.shares[order]
-    m = cands.shape[0]
-    tails = np.concatenate(
-        (np.clip(np.cumsum(s[:, ::-1], axis=1)[:, ::-1], 0.0, 1.0), np.zeros((m, 1))), axis=1)
-    tails[:, 0] = 1.0
-    phi = shock.half_width
-    cuts = np.concatenate(
-        (np.full((m, 1), -phi), np.clip(g, -phi, phi), np.full((m, 1), phi)), axis=1)
-    probs = np.diff(cuts, axis=1) / (2.0 * phi)
+    tails, probs = _sorted_gap_lottery(np.take_along_axis(gaps, order, axis=1),
+                                       dist.shares[order], shock.half_width)
     vals = np.asarray(nu.evaluate(tails), dtype=float)
     return np.sum(vals * probs, axis=1)
 
 
 def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                  cap: int = FACTORIAL_CAP, _cands=None) -> np.ndarray:
+                  cap: int = FACTORIAL_CAP) -> np.ndarray:
     """Globally best platform against ``opponent``.
 
     Global best responses always lie in the finite candidate set generated
@@ -187,7 +181,7 @@ def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: S
     opp = np.atleast_1d(np.asarray(opponent, dtype=float))
     if opp.shape[0] != dist.dimension:
         raise DimensionError("opponent platform dimension mismatch")
-    cands = candidate_platforms(dist, nu, cap) if _cands is None else _cands
+    cands = candidate_platforms(dist, nu, cap)
     payoffs = _batch_payoffs(cands, opp, dist, nu, shock)
     best = int(np.flatnonzero(payoffs >= payoffs.max() - _PAYOFF_TIE_TOL)[0])
     return cands[best].copy()
@@ -375,6 +369,8 @@ class DirectionalSpreadComparison:
     base_sq_distance: float
     candidate_sq_distance: float
     direction: np.ndarray
+    base_report: NashReport
+    candidate_report: NashReport
 
 
 def compare_directional_spread_payoffs(base: VoterDistribution, candidate: VoterDistribution,
@@ -402,4 +398,4 @@ def compare_directional_spread_payoffs(base: VoterDistribution, candidate: Voter
         base_payoff=base_pay, candidate_payoff=cand_pay,
         base_sq_distance=nash_base.max_sq_distance,
         candidate_sq_distance=nash_cand.max_sq_distance,
-        direction=direction)
+        direction=direction, base_report=nash_base, candidate_report=nash_cand)

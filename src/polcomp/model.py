@@ -393,33 +393,43 @@ def check_shock_support(dist: VoterDistribution, shock: Shock) -> ShockSupportRe
     return ShockSupportReport(ok=ok, extreme_gap=extreme, bound=shock.half_width, message=msg)
 
 
+def _sorted_gap_lottery(gaps, shares, half_width):
+    """``(tails, probs)`` of gaps sorted along the last axis, with their shares.
+
+    ``tails[..., j]`` is party A's vote share when the shock falls between
+    gaps j-1 and j (clamped to the shock support), ``probs[..., j]`` that
+    interval's chance. Tails accumulate backwards to limit cancellation.
+    """
+    lead, n = gaps.shape[:-1], gaps.shape[-1]
+    tails = np.zeros(lead + (n + 1,))
+    tails[..., :-1] = np.cumsum(shares[..., ::-1], axis=-1)[..., ::-1]
+    # the full-population tail is exactly one by the share invariant; pinning
+    # it avoids noise amplification in payoffs with unbounded slope at zero
+    tails[..., 0] = 1.0
+    # bare ufuncs, not np.clip / np.diff: their call overhead is a third of a
+    # 1-D call. Shares are positive, so tails need only the upper clamp.
+    np.minimum(tails, 1.0, out=tails)
+    cuts = np.full(lead + (n + 2,), half_width)
+    cuts[..., 0] = -half_width
+    np.minimum(np.maximum(gaps, -half_width), half_width, out=cuts[..., 1:-1])
+    return tails, (cuts[..., 1:] - cuts[..., :-1]) / (2.0 * half_width)
+
+
 def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair, tie_tol=TIE_TOL):
     """Exact distribution of party A's vote share under the uniform shock.
 
     Types are sorted by preference gap, gaps closer than ``tie_tol`` are
     merged into blocks, and the share is piecewise constant between block
     gaps clamped to the shock support. Returns ``(shares, probabilities)``
-    with probabilities summing to one. Tail shares are accumulated
-    backwards to limit cancellation.
+    with probabilities summing to one.
     """
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
-    s = dist.shares[order]
     # merge near-ties into blocks
-    cut = np.flatnonzero(np.diff(g) >= tie_tol) + 1
-    starts = np.concatenate(([0], cut))
-    block_gap = g[starts]
-    block_share = np.add.reduceat(s, starts)
-    tails = np.concatenate((np.cumsum(block_share[::-1])[::-1], [0.0]))
-    # the full-population tail is exactly one by the share invariant; pinning
-    # it avoids noise amplification in payoffs with unbounded slope at zero
-    tails[0] = 1.0
-    tails = np.clip(tails, 0.0, 1.0)
-    phi = shock.half_width
-    cuts = np.concatenate(([-phi], np.clip(block_gap, -phi, phi), [phi]))
-    probs = np.diff(cuts) / (2.0 * phi)
-    return tails, probs
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= tie_tol) + 1))
+    return _sorted_gap_lottery(g[starts], np.add.reduceat(dist.shares[order], starts),
+                               shock.half_width)
 
 
 def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,
@@ -441,9 +451,7 @@ def monte_carlo_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
-    s = dist.shares[order]
-    tails = np.concatenate((np.clip(np.cumsum(s[::-1])[::-1], 0.0, 1.0), [0.0]))
-    tails[0] = 1.0
+    tails, _ = _sorted_gap_lottery(g, dist.shares[order], shock.half_width)
     if party == "B":
         tails = 1.0 - tails
     elif party != "A":

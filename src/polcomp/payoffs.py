@@ -83,16 +83,15 @@ def utility_from_placements(profile: PlacementProfile) -> PowerUtility:
     """Utility = integral of the value schedule over the filled placements.
 
     Composite Simpson with a fixed panel count keeps results deterministic;
-    the rule is exact for polynomial schedules up to cubic.
+    the rule is exact for polynomial schedules up to cubic. Any array shape works.
     """
     q = profile.value
 
     def u(power):
-        p = np.atleast_1d(np.asarray(power, dtype=float))
-        nodes = p[:, None] * _SIMPSON_X[None, :]
-        vals = np.asarray(q(nodes), dtype=float)
-        out = p * (vals @ _SIMPSON_W)
-        return out if np.asarray(power).shape else out[0]
+        p = np.asarray(power, dtype=float)
+        flat = p.reshape(-1)
+        out = flat * (np.asarray(q(flat[:, None] * _SIMPSON_X), dtype=float) @ _SIMPSON_W)
+        return out.reshape(p.shape) if p.shape else out[0]
 
     return PowerUtility(u, total=profile.total_power, description="placements")
 

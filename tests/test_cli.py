@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from polcomp import cli
+from polcomp import equilibriumkd as eqkd
 from polcomp.cli import main, run, validate_result_record, SchemaError
 
 
@@ -108,6 +110,15 @@ class TestSchemaHandling:
         assert main(["eq1d", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_unreadable_scenario(self, tmp_path, capsys):
+        assert main(["eq1d", "--scenario", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+
+    def test_threads_below_one_rejected(self, tmp_path):
+        path = write_scenario(tmp_path, base_scenario())
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path),
+                     "--threads", "0"]) == 2
+
     def test_unknown_subcommand_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["solve-everything", "--scenario", "x.json"])
@@ -115,6 +126,19 @@ class TestSchemaHandling:
     def test_run_validates_format(self, tmp_path):
         with pytest.raises(SchemaError):
             run("eq1d", base_scenario(), tmp_path, fmt="yaml")
+
+
+class TestInternalErrorHandling:
+    def test_unexpected_exception_exit_four(self, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        path = write_scenario(tmp_path, base_scenario(
+            salience=0.6, prior_common=0.5, prior_conflict=0.5, posterior_conflict=1.0))
+        assert main(["info", "--scenario", path, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: operands could not be broadcast\n"
 
 
 class TestPreconditionHandling:
@@ -195,6 +219,22 @@ class TestSubcommands:
         for name in ("dspread_scatter_base.csv", "dspread_scatter_candidate.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == "kind,label,share,coord_1,coord_2"
+
+    def test_dspread_solves_each_electorate_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = eqkd.party_preferred_equilibria
+
+        def counted(dist, *args, **kwargs):
+            calls.append(dist)
+            return solve(dist, *args, **kwargs)
+
+        monkeypatch.setattr(eqkd, "party_preferred_equilibria", counted)
+        scenario = scenario_2d()
+        scenario["task"] = {"candidate": {"types": [
+            {"bliss": [-0.25, -0.25], "share": 0.5},
+            {"bliss": [1.25, 1.25], "share": 0.5}]}}
+        run("dspread", scenario, tmp_path, fmt="both")
+        assert len(calls) == 2
 
     def test_welfare_defaults_to_equilibrium(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import polcomp as pc
+from polcomp import equilibriumkd as eqkd
 from polcomp.errors import DimensionError, PreconditionError
 
 from helpers import (
@@ -148,6 +149,53 @@ class TestBestResponse:
             br_b = pc.best_response(eq.pair.x_a, crafted_4type, nu_quadratic, shock)
             assert np.allclose(br_a, eq.pair.x_a, atol=1e-9)
             assert np.allclose(br_b, eq.pair.x_b, atol=1e-9)
+
+
+class TestPlacementLinearKd:
+    """The placement-linear preset evaluates (M, N) tail matrices in k-D."""
+
+    def test_best_response_is_argmax_of_exact_payoffs(self, crafted_4type):
+        nu = pc.payoff_preset("placement-linear")
+        shock = shock_for(crafted_4type)
+        opp = np.array([0.2, -0.1])
+        br = pc.best_response(opp, crafted_4type, nu, shock)
+        best = max(pc.expected_payoff(crafted_4type, nu, shock, pc.PlatformPair(c, opp))
+                   for c in eqkd.candidate_platforms(crafted_4type, nu))
+        got = pc.expected_payoff(crafted_4type, nu, shock, pc.PlatformPair(br, opp))
+        assert got == pytest.approx(best, abs=1e-12)
+
+    def test_dynamics_stays_at_preferred(self, crafted_4type):
+        nu = pc.payoff_preset("placement-linear")
+        shock = shock_for(crafted_4type)
+        rep = pc.party_preferred_equilibria(crafted_4type, nu, shock)
+        res = pc.best_response_dynamics(rep.party_preferred[0].pair, crafted_4type, nu, shock)
+        assert res.converged
+        assert np.allclose(res.sq_distances, res.sq_distances[0], atol=1e-12)
+
+
+class TestBatchPayoffs:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("preset", ["quadratic", "sqrt-sharing", "placement-linear"])
+    def test_rows_match_expected_payoff(self, dim, preset):
+        rng = np.random.default_rng(100 + dim)
+        nu = pc.payoff_preset(preset)
+        checked = 0
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            bliss = rng.uniform(-1.0, 1.0, size=(n, dim))
+            shares = rng.uniform(0.5, 1.5, size=n)
+            dist = pc.VoterDistribution(bliss, shares / shares.sum())
+            shock = pc.Shock(float(rng.choice([0.5, 3.0])))   # clipped and unclipped cuts
+            opp = rng.uniform(-1.0, 1.0, size=dim)
+            cands = eqkd.candidate_platforms(dist, nu)
+            payoffs = eqkd._batch_payoffs(cands, opp, dist, nu, shock)
+            for cand, got in zip(cands, payoffs):
+                pair = pc.PlatformPair(cand, opp)
+                if pc.induced_ranking(pair, dist) is None:
+                    continue   # near-tied gaps: only expected_payoff merges them
+                assert got == pytest.approx(pc.expected_payoff(dist, nu, shock, pair), abs=1e-12)
+                checked += 1
+        assert checked > 0
 
 
 class TestDynamics:

@@ -173,3 +173,18 @@ class TestMinorityGainWithJump:
         assert isinstance(lower_ok, bool) and isinstance(upper_ok, bool)
         # the upward jump makes the upper one-sided increment strict
         assert upper_ok
+
+
+class TestPlacementShapes:
+    def test_evaluates_any_array_shape(self):
+        u = pc.utility_preset("placement-linear")
+        grid = np.array([[0.1, 0.4], [0.7, 1.0]])
+        out = u.evaluate(grid)
+        assert out.shape == (2, 2)
+        assert np.array_equal(out.reshape(-1), u.evaluate(grid.reshape(-1)))
+        assert np.array_equal(u.evaluate(np.ones((2, 2))), np.full((2, 2), u.evaluate(1.0)))
+
+    def test_scalar_and_vector_unchanged(self):
+        u = pc.utility_preset("placement-linear")
+        assert isinstance(u.evaluate(0.3), float)
+        assert u.evaluate(np.array([0.3]))[0] == u.evaluate(0.3)
