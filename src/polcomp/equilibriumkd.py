@@ -10,6 +10,13 @@ local equilibria of maximal platform distance (symmetric electorates).
 Best-response dynamics over the finite candidate set provides the fallback
 beyond the factorial cap and the convergence machinery.
 
+Enumeration, the best-response candidate set and single rankings all go
+through one batched ranking table: every ranking is a row of an (M, n)
+index array, the payoff is evaluated once per distinct head or tail share
+sum, and platforms and the self-consistency check are computed for all
+rows at once. Its intermediates hold about n!·n·K floats each: at the
+factorial cap, 8 types in 3 dimensions, enumeration peaks near 32 MB.
+
 Directional spreads order multidimensional electorates by projecting onto
 a direction (typically the equilibrium separation axis) and applying the
 one-dimensional spread comparison to the projections.
@@ -17,7 +24,9 @@ one-dimensional spread comparison to the projections.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,24 +78,77 @@ def platforms_for_ranking(ranking, dist: VoterDistribution, nu: ReducedPayoff) -
     """
     _validate_ranking(ranking, dist)
     nu.require_strictly_concave()
-    return PlatformPair(*_ranking_sides(ranking, dist, nu))
+    high, low = _ranking_table(np.asarray(ranking, dtype=np.intp)[None, :], dist, nu)
+    return PlatformPair(high[0], low[0])
 
 
-def _ranking_sides(ranking, dist, nu):
-    idx = np.asarray(ranking, dtype=int)
-    w_low, w_high = equilibrium_weights(dist.shares[idx], nu)
-    pts = dist.bliss[idx]
-    return w_high @ pts, w_low @ pts
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """Read-only (n!, n) array of every permutation of range(n), lexicographically."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
 
 
-def _ranking_platforms(dist, nu, cap, advice=""):
-    """``(perm, high side, low side)`` for every permutation, lexicographically."""
+def _nu_on_distinct(nu: ReducedPayoff, shares: np.ndarray) -> np.ndarray:
+    """``nu`` at every entry of ``shares``, evaluated once per distinct value.
+
+    Share sums repeat heavily across rankings and candidates; the payoff
+    is elementwise, so gathering from the distinct values changes nothing
+    but the work (and the memory of payoffs that integrate per value).
+    """
+    distinct = np.unique(shares)
+    # searchsorted into the few distinct values is cheaper than unique's inverse
+    return np.asarray(nu.evaluate(distinct), dtype=float)[np.searchsorted(distinct, shares)]
+
+
+def _weighted_sides(w_low, w_high, pts):
+    """Platforms ``(high, low)`` averaging ``pts`` (..., n, K) with the side weights (..., n)."""
+    return (np.matmul(w_high[..., None, :], pts)[..., 0, :],
+            np.matmul(w_low[..., None, :], pts)[..., 0, :])
+
+
+def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff):
+    """High and low platforms ``(M, K)`` generated by each row of ``perms`` (M, n).
+
+    Per row the arithmetic is that of ``equilibrium_weights`` followed by
+    weighted sums of the ranked bliss points: head and tail share sums
+    (tails accumulated backwards), payoff increments along them, and the
+    weighted averages. All rows are computed at once.
+    """
+    m, n = perms.shape
+    shares = dist.shares[perms]
+    cum = np.zeros((2, m, n + 1))           # heads with a leading 0, tails with a trailing 0
+    cum[0, :, 1:] = np.cumsum(shares, axis=1)
+    cum[1, :, :-1] = np.cumsum(shares[:, ::-1], axis=1)[:, ::-1]
+    np.clip(cum, 0.0, 1.0, out=cum)
+    nu_heads, nu_tails = _nu_on_distinct(nu, cum)
+    return _weighted_sides(nu_heads[:, 1:] - nu_heads[:, :-1],
+                           nu_tails[:, :-1] - nu_tails[:, 1:], dist.bliss[perms])
+
+
+def _self_consistent(perms, high, low, dist: VoterDistribution, tol: float) -> np.ndarray:
+    """Mask of rows whose pair (high for A, low for B) induces exactly that row.
+
+    The same comparisons as ``induced_ranking``, made for every row at once.
+    """
+    d_b = np.sum((dist.bliss - low[:, None, :]) ** 2, axis=2)
+    d_a = np.sum((dist.bliss - high[:, None, :]) ** 2, axis=2)
+    gaps = d_b - d_a
+    order = np.argsort(gaps, axis=1, kind="stable")
+    tied = np.any(np.diff(np.take_along_axis(gaps, order, axis=1), axis=1) < tol, axis=1)
+    return np.all(order == perms, axis=1) & ~tied
+
+
+def _all_rankings(dist, nu, cap, advice=""):
+    """``(perms, high, low)`` over every ranking of the types, lexicographically."""
     if dist.n_types > cap:
         raise PreconditionError(
             f"{dist.n_types} types exceed the factorial cap {cap}{advice}")
     nu.require_strictly_concave()
-    return ((perm, *_ranking_sides(perm, dist, nu))
-            for perm in itertools.permutations(range(dist.n_types)))
+    perms = _permutations(dist.n_types)
+    return (perms, *_ranking_table(perms, dist, nu))
 
 
 def _validate_ranking(ranking, dist):
@@ -118,20 +180,20 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     exact integrator: both parties' expected payoffs must match the
     distance identity within 1e-8.
     """
-    rows = _ranking_platforms(dist, nu, cap,
-                              "; use best_response_dynamics for larger electorates")
+    perms, high, low = _all_rankings(dist, nu, cap,
+                                     "; use best_response_dynamics for larger electorates")
     nu.require_normalized()
     base = _payoff_base(nu)
+    kept = np.flatnonzero(_self_consistent(perms, high, low, dist, tol))
     found = []
-    for perm, high, low in rows:
-        pair = PlatformPair(high, low)
-        if induced_ranking(pair, dist, tol) != perm:
-            continue
+    for perm, x_a, x_b in zip(perms[kept], high[kept], low[kept]):
+        pair = PlatformPair(x_a, x_b)
         sq = pair.sq_distance
         payoff = base + sq / (2.0 * shock.half_width)
         if check:
             _check_equilibrium_payoffs(pair, payoff, dist, nu, shock)
-        found.append(LocalEquilibrium(pair=pair, ranking=perm, sq_distance=sq, payoff=payoff))
+        found.append(LocalEquilibrium(pair=pair, ranking=tuple(int(i) for i in perm),
+                                      sq_distance=sq, payoff=payoff))
     return found
 
 
@@ -152,8 +214,8 @@ def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff, cap: int = F
     Ordered lexicographically by generating permutation, high side first,
     so index order breaks payoff ties deterministically.
     """
-    return np.vstack([side for _, high, low in _ranking_platforms(dist, nu, cap)
-                      for side in (high, low)])
+    _, high, low = _all_rankings(dist, nu, cap)
+    return np.stack((high, low), axis=1).reshape(-1, dist.dimension)
 
 
 def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
@@ -165,8 +227,7 @@ def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
     order = np.argsort(gaps, axis=1, kind="stable")
     tails, probs = _sorted_gap_lottery(np.take_along_axis(gaps, order, axis=1),
                                        dist.shares[order], shock.half_width)
-    vals = np.asarray(nu.evaluate(tails), dtype=float)
-    return np.sum(vals * probs, axis=1)
+    return np.sum(_nu_on_distinct(nu, tails) * probs, axis=1)
 
 
 def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -320,10 +381,12 @@ def local_divide_gradient(ranking, dist: VoterDistribution, nu: ReducedPayoff, s
         raise PreconditionError(f"position {position} out of range")
     if not 0 <= dim < dist.dimension:
         raise PreconditionError(f"dimension {dim} out of range")
-    pair = platforms_for_ranking(ranking, dist, nu)
+    nu.require_strictly_concave()
+    w_low, w_high = ranking_weights(ranking, dist, nu)
+    pts = dist.bliss[np.asarray(ranking, dtype=int)]
+    pair = PlatformPair(*_weighted_sides(w_low, w_high, pts))
     if induced_ranking(pair, dist) != tuple(ranking):
         raise PreconditionError("ranking is not self-consistent for this electorate")
-    w_low, w_high = ranking_weights(ranking, dist, nu)
     sep = pair.x_a[dim] - pair.x_b[dim]
     return float((w_high[position] - w_low[position]) * sep / shock.half_width)
 

@@ -32,6 +32,23 @@ def _as_matrix(bliss) -> np.ndarray:
     return pts
 
 
+def _first_duplicate_row(pts: np.ndarray):
+    """Smallest ``(i, j)``, i first, with ``i < j`` and rows equal under ``==``; else None.
+
+    Rows that compare equal (-0.0 == 0.0; NaN equals nothing) sort next to
+    each other, in index order since the sort is stable, so each run of
+    equal rows starts with its smallest index and the next row is its
+    smallest partner.
+    """
+    order = np.lexsort(pts.T)
+    ranked = pts[order]
+    adjacent = np.flatnonzero(np.all(ranked[1:] == ranked[:-1], axis=1))
+    if adjacent.size == 0:
+        return None
+    k = adjacent[np.argmin(order[adjacent])]
+    return int(order[k]), int(order[k + 1])
+
+
 class VoterDistribution:
     """Finite electorate: bliss points (N, K), shares (N,), optional labels.
 
@@ -50,10 +67,9 @@ class VoterDistribution:
             raise PreconditionError("every share must lie in (0, 1]")
         if abs(shr.sum() - 1.0) > SHARE_SUM_TOL:
             raise PreconditionError(f"shares sum to {shr.sum():.17g}, expected 1")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.array_equal(pts[i], pts[j]):
-                    raise PreconditionError(f"bliss points of types {i} and {j} coincide")
+        duplicate = _first_duplicate_row(pts)
+        if duplicate is not None:
+            raise PreconditionError("bliss points of types {} and {} coincide".format(*duplicate))
         if labels is None:
             labels = tuple(f"type{i}" for i in range(pts.shape[0]))
         else:

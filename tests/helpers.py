@@ -1,8 +1,12 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+import itertools
+
 import numpy as np
 
 import polcomp as pc
+from polcomp.equilibrium1d import equilibrium_weights
+from polcomp.equilibriumkd import RANK_TOL
 
 
 def grid_best_response(dist, nu, shock, opponent, n_points=10_000):
@@ -108,3 +112,54 @@ def outward_directional_spread(dist, direction, amount):
     signs = np.sign(proj - center)
     return pc.VoterDistribution(dist.bliss + amount * signs[:, None] * unit[None, :],
                                 dist.shares, dist.labels)
+
+
+def oracle_ranking_platforms(dist, nu):
+    """``(perm, high, low)`` for every permutation, one ranking at a time.
+
+    Reference for the batched ranking table: weights from
+    ``equilibrium_weights`` on the ranked shares, then weighted sums of
+    the ranked bliss points. Lexicographic order, no cap.
+    """
+    out = []
+    for perm in itertools.permutations(range(dist.n_types)):
+        idx = np.asarray(perm, dtype=int)
+        w_low, w_high = equilibrium_weights(dist.shares[idx], nu)
+        pts = dist.bliss[idx]
+        out.append((perm, w_high @ pts, w_low @ pts))
+    return out
+
+
+def oracle_local_equilibria(dist, nu, shock, tol=RANK_TOL):
+    """Self-consistent rankings by ``induced_ranking`` on each permutation.
+
+    Returns ``(ranking, x_a, x_b, sq_distance, payoff)`` tuples in
+    lexicographic order, the payoff from the distance identity.
+    """
+    base = 0.5 * (nu.value_at_one + nu.value_at_zero)
+    found = []
+    for perm, high, low in oracle_ranking_platforms(dist, nu):
+        pair = pc.PlatformPair(high, low)
+        if pc.induced_ranking(pair, dist, tol) != perm:
+            continue
+        sq = pair.sq_distance
+        found.append((perm, pair.x_a, pair.x_b, sq, base + sq / (2.0 * shock.half_width)))
+    return found
+
+
+def oracle_candidates(dist, nu):
+    """Every ranking's high then low platform, stacked in lexicographic order."""
+    return np.vstack([side for _, high, low in oracle_ranking_platforms(dist, nu)
+                      for side in (high, low)])
+
+
+def oracle_duplicate_pair(bliss):
+    """First ``(i, j)`` with coinciding bliss rows, by the pairwise loop; None if none."""
+    pts = np.asarray(bliss, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    for i in range(pts.shape[0]):
+        for j in range(i + 1, pts.shape[0]):
+            if np.array_equal(pts[i], pts[j]):
+                return i, j
+    return None

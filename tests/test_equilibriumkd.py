@@ -1,16 +1,46 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
 from polcomp import equilibriumkd as eqkd
+from polcomp.equilibrium1d import equilibrium_weights
 from polcomp.errors import DimensionError, PreconditionError
 
 from helpers import (
     central_difference,
+    oracle_candidates,
+    oracle_local_equilibria,
     outward_directional_spread,
     random_symmetric_instance,
     shock_for,
 )
+
+
+@st.composite
+def small_electorates(draw, max_types=6):
+    """K in {1, 2, 3}, at most ``max_types`` types; coarse grids give near-ties.
+
+    Coarse instances put bliss points on a quarter grid and draw shares
+    from small integers, so gaps tie or nearly tie at many rankings.
+    """
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_types))
+    if draw(st.booleans()):
+        coord = st.integers(-4, 4).map(lambda v: v / 4.0)
+        weight = st.integers(1, 3)
+    else:
+        coord = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+        weight = st.floats(0.5, 1.5)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n, unique=True))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)), dtype=float)
+    return pc.VoterDistribution(np.array(points), weights / weights.sum())
+
+
+def _inventory_rows(found):
+    return [(eq.ranking, eq.pair.x_a, eq.pair.x_b, eq.sq_distance, eq.payoff) for eq in found]
 
 
 @pytest.fixture
@@ -173,6 +203,92 @@ class TestPlacementLinearKd:
         assert np.allclose(res.sq_distances, res.sq_distances[0], atol=1e-12)
 
 
+class TestRankingTable:
+    """The batched ranking table against the per-permutation oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dist=small_electorates(), preset=st.sampled_from(["quadratic", "sqrt-sharing"]))
+    def test_matches_oracle_bit_for_bit(self, dist, preset):
+        nu = pc.payoff_preset(preset)
+        shock = shock_for(dist)
+        got = _inventory_rows(pc.enumerate_local_equilibria(dist, nu, shock))
+        want = oracle_local_equilibria(dist, nu, shock)
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g[1], w[1]) and np.array_equal(g[2], w[2])
+            assert g[3] == w[3] and g[4] == w[4]
+        assert np.array_equal(eqkd.candidate_platforms(dist, nu), oracle_candidates(dist, nu))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dist=small_electorates(max_types=5))
+    def test_placement_linear_matches_oracle(self, dist):
+        nu = pc.payoff_preset("placement-linear")
+        shock = shock_for(dist)
+        got = _inventory_rows(pc.enumerate_local_equilibria(dist, nu, shock))
+        want = oracle_local_equilibria(dist, nu, shock)
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for g, w in zip(got, want):
+            assert np.allclose(g[1], w[1], rtol=0.0, atol=1e-12)
+            assert np.allclose(g[2], w[2], rtol=0.0, atol=1e-12)
+            assert g[3] == pytest.approx(w[3], rel=0.0, abs=1e-12)
+            assert g[4] == pytest.approx(w[4], rel=0.0, abs=1e-12)
+        assert np.allclose(eqkd.candidate_platforms(dist, nu), oracle_candidates(dist, nu),
+                           rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(dist=small_electorates(), data=st.data())
+    def test_type_order_invariance(self, dist, data):
+        nu = pc.payoff_preset("quadratic")
+        shock = shock_for(dist)
+        listing = data.draw(st.permutations(range(dist.n_types)))
+        relisted = pc.VoterDistribution(dist.bliss[listing], dist.shares[listing])
+        new_index = np.argsort(listing)
+        found = pc.enumerate_local_equilibria(dist, nu, shock)
+        refound = pc.enumerate_local_equilibria(relisted, nu, shock)
+        assert ({tuple(int(new_index[t]) for t in eq.ranking) for eq in found}
+                == {eq.ranking for eq in refound})
+        pairs = {(eq.pair.x_a.tobytes(), eq.pair.x_b.tobytes()) for eq in found}
+        assert pairs == {(eq.pair.x_a.tobytes(), eq.pair.x_b.tobytes()) for eq in refound}
+
+    def test_single_ranking_matches_table_row(self, crafted_4type, nu_quadratic):
+        cands = eqkd.candidate_platforms(crafted_4type, nu_quadratic)
+        pair = pc.platforms_for_ranking((2, 0, 3, 1), crafted_4type, nu_quadratic)
+        row = 2 * list(eqkd._permutations(4).tolist()).index([2, 0, 3, 1])
+        assert np.array_equal(pair.x_a, cands[row]) and np.array_equal(pair.x_b, cands[row + 1])
+
+    def test_permutations_are_lexicographic_and_read_only(self):
+        perms = eqkd._permutations(4)
+        assert [tuple(p) for p in perms.tolist()] == sorted(
+            tuple(p) for p in perms.tolist())
+        assert len({tuple(p) for p in perms.tolist()}) == 24
+        assert not perms.flags.writeable
+
+    def test_enumerates_at_factorial_cap(self, nu_quadratic):
+        rng = np.random.default_rng(88)
+        dist = random_symmetric_instance(rng, n_pairs=4, dim=2)
+        assert dist.n_types == eqkd.FACTORIAL_CAP
+        shock = shock_for(dist)
+        found = pc.enumerate_local_equilibria(dist, nu_quadratic, shock)
+        assert found
+        for eq in found:
+            assert pc.induced_ranking(eq.pair, dist) == eq.ranking
+            for party in "AB":
+                v = pc.expected_payoff(dist, nu_quadratic, shock, eq.pair, party)
+                assert v == pytest.approx(eq.payoff, abs=1e-8)
+
+    def test_nine_types_exceed_cap(self, nu_quadratic):
+        rng = np.random.default_rng(89)
+        dist = random_symmetric_instance(rng, n_pairs=4, dim=2, center_type=True)
+        shock = shock_for(dist)
+        with pytest.raises(PreconditionError) as exc:
+            pc.enumerate_local_equilibria(dist, nu_quadratic, shock)
+        assert str(exc.value) == ("9 types exceed the factorial cap 8; "
+                                  "use best_response_dynamics for larger electorates")
+        with pytest.raises(PreconditionError) as exc:
+            pc.best_response(dist.bliss[0], dist, nu_quadratic, shock)
+        assert str(exc.value) == "9 types exceed the factorial cap 8"
+
+
 class TestBatchPayoffs:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("preset", ["quadratic", "sqrt-sharing", "placement-linear"])
@@ -196,6 +312,20 @@ class TestBatchPayoffs:
                 assert got == pytest.approx(pc.expected_payoff(dist, nu, shock, pair), abs=1e-12)
                 checked += 1
         assert checked > 0
+
+    def test_placement_linear_best_response_memory(self):
+        # the payoff integrates per distinct vote share, never per candidate cell
+        rng = np.random.default_rng(104)
+        dist = random_symmetric_instance(rng, n_pairs=3, dim=2)
+        nu = pc.payoff_preset("placement-linear")
+        shock = shock_for(dist)
+        tracemalloc.start()
+        try:
+            pc.best_response(dist.bliss[0], dist, nu, shock)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestDynamics:
@@ -282,6 +412,19 @@ class TestSymmetry:
 
 
 class TestDivideGradient:
+    def test_weights_computed_once(self, crafted_4type, nu_quadratic, monkeypatch):
+        shock = shock_for(crafted_4type)
+        eq = pc.enumerate_local_equilibria(crafted_4type, nu_quadratic, shock)[0]
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return equilibrium_weights(*args)
+
+        monkeypatch.setattr(eqkd, "equilibrium_weights", counting)
+        pc.local_divide_gradient(eq.ranking, crafted_4type, nu_quadratic, shock, 0, 0)
+        assert len(calls) == 1
+
     def test_two_type_hand_values(self, two_type_2d, nu_quadratic, unit_shock):
         g = pc.local_divide_gradient((0, 1), two_type_2d, nu_quadratic, unit_shock, 1, 0)
         assert g == pytest.approx(0.25, abs=1e-12)

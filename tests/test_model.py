@@ -4,7 +4,7 @@ import pytest
 import polcomp as pc
 from polcomp.errors import DimensionError, PreconditionError
 
-from helpers import random_diverse_instance, shock_for
+from helpers import oracle_duplicate_pair, random_diverse_instance, shock_for
 
 
 class TestVoterDistribution:
@@ -23,6 +23,43 @@ class TestVoterDistribution:
     def test_duplicate_bliss_rejected(self):
         with pytest.raises(PreconditionError):
             pc.VoterDistribution([[1.0, 2.0], [1.0, 2.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_duplicate_pair_matches_pairwise_loop(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for trial in range(60):
+            n = int(rng.integers(2, 30))
+            # a coarse grid makes chance coincidences as well as planted ones
+            pts = rng.integers(-3, 4, size=(n, dim)).astype(float)
+            if trial % 2:
+                pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = rng.choice(n, size=2, replace=False)
+                pts[j] = pts[i]
+            zeros = pts == 0.0
+            pts[zeros & (rng.random(pts.shape) < 0.5)] = -0.0    # -0.0 == 0.0
+            if trial % 3 == 0:
+                pts[rng.integers(n), rng.integers(dim)] = np.nan  # NaN equals nothing
+            bliss, shares = (pts if dim > 1 else pts[:, 0]), np.full(n, 1.0 / n)
+            expected = oracle_duplicate_pair(pts)
+            if expected is None:        # the NaN landed on every planted copy
+                assert pc.VoterDistribution(bliss, shares).n_types == n
+                continue
+            i, j = expected
+            with pytest.raises(PreconditionError,
+                               match=fr"^bliss points of types {i} and {j} coincide$"):
+                pc.VoterDistribution(bliss, shares)
+
+    def test_nan_rows_are_not_duplicates(self):
+        d = pc.VoterDistribution([[np.nan, 1.0], [np.nan, 1.0]], [0.5, 0.5])
+        assert d.n_types == 2
+
+    def test_large_electorate_builds(self):
+        rng = np.random.default_rng(43)
+        n = 3000
+        d = pc.VoterDistribution(rng.uniform(-1.0, 1.0, size=(n, 2)), np.full(n, 1.0 / n))
+        moved = d.translate([0.5, -0.5])
+        assert moved.n_types == n
 
     def test_label_count_must_match(self):
         with pytest.raises(PreconditionError):
