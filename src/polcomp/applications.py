@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalConsistencyError, PreconditionError
-from .model import ReducedPayoff, Shock, VoterDistribution, as_pair
+from .model import ReducedPayoff, Shock, VoterDistribution, as_pair, distance_payoff
 from .equilibrium1d import equilibrium_1d
+
+FEEDBACK_TOL = 1e-10        # relative gap between simulated and closed-form platform gaps
 
 
 def separation_coefficient(nu: ReducedPayoff) -> float:
@@ -41,9 +43,8 @@ def conflict_issue_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Sho
     """
     if not 0.0 < salience <= 1.0:
         raise PreconditionError("salience must lie in (0, 1]")
-    eq = equilibrium_1d(dist, nu, shock, check=dist.n_types > 1)
-    base = 0.5 * (nu.value_at_one + nu.value_at_zero)
-    return base + salience * eq.distance ** 2 / (2.0 * shock.half_width)
+    eq = equilibrium_1d(dist, nu, shock)
+    return distance_payoff(nu, shock, salience * eq.distance ** 2)
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,15 @@ class FeedbackTrajectory:
         return np.array([r.platform_gap for r in self.records])
 
 
-def polarization_feedback_trajectory(params: FeedbackParams,
-                                     check_tol: float = 1e-10) -> FeedbackTrajectory:
+def polarization_feedback_trajectory(params: FeedbackParams) -> FeedbackTrajectory:
     """Simulate the per-period identity shift and its platform response.
 
     Each period both parties invest, voters move toward their nearer
     platform by theta times the previous platform gap, and the myopic
     two-type equilibrium turns the new voter gap into a platform gap via
     the separation coefficient. The simulated gap must match the geometric
-    partial sum within ``check_tol`` every period.
+    partial sum within ``FEEDBACK_TOL`` (relative, floored at one) every
+    period.
     """
     g = params.separation
     theta = params.theta_high
@@ -202,7 +203,7 @@ def polarization_feedback_trajectory(params: FeedbackParams,
         platform_gap = g * voter_gap
         power *= ratio
         closed = closed + g * params.gap * power
-        if abs(platform_gap - closed) > check_tol * max(1.0, abs(closed)):
+        if abs(platform_gap - closed) > FEEDBACK_TOL * max(1.0, abs(closed)):
             raise InternalConsistencyError(
                 f"simulated gap {platform_gap:.17g} deviates from the geometric "
                 f"closed form {closed:.17g} at period {t}")

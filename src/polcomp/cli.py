@@ -326,12 +326,11 @@ def _cmd_eqkd(dist, bundle, shock, seed, task):
 
 def _cmd_classify(dist, bundle, shock, seed, task):
     _expect(task, "task")
+    eq = eq1d.equilibrium_1d(dist, bundle.nu, shock)
     stances = {}
-    for i in range(dist.n_types):
-        stances[dist.labels[i]] = {
-            "A": eq1d.classify_group(dist, bundle.nu, shock, i, "A").value,
-            "B": eq1d.classify_group(dist, bundle.nu, shock, i, "B").value,
-        }
+    for label, (xi,) in zip(dist.labels, dist.bliss):
+        stances[label] = {party: eq1d._stance(eq, float(xi), party).value
+                          for party in ("A", "B")}
     return {"stances": stances}, {}
 
 
@@ -450,7 +449,7 @@ def _cmd_validate(dist, bundle, shock, seed, task):
     support = model.check_shock_support(dist, shock)
     checks = {
         "shares_valid": True,
-        "payoff_normalized": abs(nu.span - 1.0) <= 1e-12,
+        "payoff_normalized": nu.unit_span,
         "payoff_strictly_concave": nu.strictly_concave,
         "minority_gain_strict": nu.minority_gain_strict,
         "minority_gain_at_half": list(nu.minority_gain_at_half),

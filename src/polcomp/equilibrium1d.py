@@ -27,6 +27,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    distance_payoff,
     expected_payoff,
 )
 from .payoffs import proportional_power
@@ -64,6 +65,18 @@ class Equilibrium1D:
         return PlatformPair([self.x_high], [self.x_low])
 
 
+def _median_cut(heads: np.ndarray):
+    """First position ``i`` whose cumulative share reaches one half, and ``tie``:
+    whether it hits one half within ``_STRICT_TOL`` (the split then falls after i).
+    """
+    near = np.abs(heads - 0.5) <= _STRICT_TOL
+    reached = near | (heads > 0.5)
+    if not reached.any():
+        raise InternalConsistencyError("cumulative shares never reached one half")
+    i = int(np.argmax(reached))
+    return i, bool(near[i])
+
+
 def median_bliss(dist: VoterDistribution):
     """Median voter position with the even-split convention.
 
@@ -75,13 +88,10 @@ def median_bliss(dist: VoterDistribution):
         raise DimensionError("median_bliss requires a one-dimensional electorate")
     order = dist.ascending_order()
     x = dist.bliss[order, 0]
-    heads = np.cumsum(dist.shares[order])
-    for i, h in enumerate(heads):
-        if abs(h - 0.5) <= _STRICT_TOL:
-            return 0.5 * (x[i] + x[i + 1]), None
-        if h > 0.5:
-            return float(x[i]), int(order[i])
-    raise InternalConsistencyError("cumulative shares never reached one half")
+    i, tie = _median_cut(np.cumsum(dist.shares[order]))
+    if tie:
+        return 0.5 * (x[i] + x[i + 1]), None
+    return float(x[i]), int(order[i])
 
 
 def risk_neutral_benchmark(dist: VoterDistribution, power) -> float:
@@ -132,14 +142,13 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     if dist.dimension != 1:
         raise DimensionError("equilibrium_1d requires a one-dimensional electorate")
     nu.require_normalized()
-    base = 0.5 * (nu.value_at_one + nu.value_at_zero)
     power = nu.power_map if nu.power_map is not None else proportional_power()
 
     if dist.n_types == 1:
         x = float(dist.bliss[0, 0])
         one = np.array([1.0])
         return Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
-                             payoff=base, x_risk_neutral=x, median=x,
+                             payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
                              order=np.array([0]), diverse=False)
 
     order = dist.ascending_order()
@@ -147,11 +156,11 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     w_low, w_high = equilibrium_weights(dist.shares[order], nu)
     x_low = float(w_low @ x)
     x_high = float(w_high @ x)
-    payoff = base + (x_high - x_low) ** 2 / (2.0 * shock.half_width)
     median, _ = median_bliss(dist)
     x_rn = risk_neutral_benchmark(dist, power)
     eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
-                       payoff=payoff, x_risk_neutral=x_rn, median=median, order=order)
+                       payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
+                       x_risk_neutral=x_rn, median=median, order=order)
     if check:
         _verify_equilibrium(eq, dist, nu, shock, x)
     return eq
@@ -182,7 +191,7 @@ def _verify_equilibrium(eq: Equilibrium1D, dist, nu, shock, x_sorted):
 
 
 def payoff_gradient(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                    type_index: int, party: str = "A") -> float:
+                    type_index: int) -> float:
     """Exact derivative of the equilibrium payoff in one type's bliss point.
 
     Equal for both parties: distance times the weight differential over the
@@ -190,8 +199,6 @@ def payoff_gradient(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     """
     if not 0 <= type_index < dist.n_types:
         raise PreconditionError(f"type index {type_index} out of range")
-    if party not in ("A", "B"):
-        raise PreconditionError(f"party must be 'A' or 'B', got {party!r}")
     eq = equilibrium_1d(dist, nu, shock)
     pos = int(np.flatnonzero(eq.order == type_index)[0])
     dw = eq.weights_high[pos] - eq.weights_low[pos]
@@ -202,6 +209,19 @@ class GroupStance(enum.Enum):
     ATTRACT = "attract"
     ALIENATE = "alienate"
     UNCLASSIFIED = "unclassified"
+
+
+def _stance(eq: Equilibrium1D, xi: float, party: str) -> GroupStance:
+    """Stance of ``party`` toward a group at ``xi``; thresholds from the rival platform."""
+    if party not in ("A", "B"):
+        raise PreconditionError(f"party must be 'A' or 'B', got {party!r}")
+    rival = eq.x_low if party == "A" else eq.x_high
+    right = xi > max(rival, eq.median) + _STRICT_TOL
+    left = xi < min(rival, eq.median) - _STRICT_TOL
+    toward, away = (right, left) if party == "A" else (left, right)
+    if toward:
+        return GroupStance.ATTRACT
+    return GroupStance.ALIENATE if away else GroupStance.UNCLASSIFIED
 
 
 def classify_group(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -217,24 +237,7 @@ def classify_group(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     if not 0 <= type_index < dist.n_types:
         raise PreconditionError(f"type index {type_index} out of range")
     eq = equilibrium_1d(dist, nu, shock)
-    xi = float(dist.bliss[type_index, 0])
-    if party == "A":
-        upper = max(eq.x_low, eq.median)
-        lower = min(eq.x_low, eq.median)
-        if xi > upper + _STRICT_TOL:
-            return GroupStance.ATTRACT
-        if xi < lower - _STRICT_TOL:
-            return GroupStance.ALIENATE
-        return GroupStance.UNCLASSIFIED
-    if party == "B":
-        upper = max(eq.x_high, eq.median)
-        lower = min(eq.x_high, eq.median)
-        if xi < lower - _STRICT_TOL:
-            return GroupStance.ATTRACT
-        if xi > upper + _STRICT_TOL:
-            return GroupStance.ALIENATE
-        return GroupStance.UNCLASSIFIED
-    raise PreconditionError(f"party must be 'A' or 'B', got {party!r}")
+    return _stance(eq, float(dist.bliss[type_index, 0]), party)
 
 
 def _median_split(dist: VoterDistribution):

@@ -39,33 +39,30 @@ from .model import (
     VoterDistribution,
     _sorted_gap_lottery,
     as_pair,
+    distance_payoff,
     expected_payoff,
     preference_gaps,
 )
-from .equilibrium1d import equilibrium_weights, is_spread
+from .equilibrium1d import _median_cut, equilibrium_weights, is_spread
 
 RANK_TOL = 1e-9
 FACTORIAL_CAP = 8
+PREFERRED_TOL = 1e-9        # squared distances this close to the maximum tie for preferred
+SYMMETRY_TOL = 1e-9         # mirror images match within this, coordinates and shares
 _PAYOFF_TIE_TOL = 1e-12
 
 
-def induced_ranking(pair, dist: VoterDistribution, tol: float = RANK_TOL):
+def induced_ranking(pair, dist: VoterDistribution):
     """Strict order of types by preference gap, least A-leaning first.
 
-    Returns None when two types are closer than ``tol`` in preference gap:
-    tied profiles induce no strict ranking.
+    Returns None when two types are closer than ``RANK_TOL`` in preference
+    gap: tied profiles induce no strict ranking.
     """
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
-    if np.any(np.diff(gaps[order]) < tol):
+    if np.any(np.diff(gaps[order]) < RANK_TOL):
         return None
     return tuple(int(i) for i in order)
-
-
-def ranking_weights(ranking, dist: VoterDistribution, nu: ReducedPayoff):
-    """Low/high-side payoff weights along a ranking (positions, not types)."""
-    shares = dist.shares[np.asarray(ranking, dtype=int)]
-    return equilibrium_weights(shares, nu)
 
 
 def platforms_for_ranking(ranking, dist: VoterDistribution, nu: ReducedPayoff) -> PlatformPair:
@@ -128,7 +125,7 @@ def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff
                            nu_tails[:, :-1] - nu_tails[:, 1:], dist.bliss[perms])
 
 
-def _self_consistent(perms, high, low, dist: VoterDistribution, tol: float) -> np.ndarray:
+def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
     """Mask of rows whose pair (high for A, low for B) induces exactly that row.
 
     The same comparisons as ``induced_ranking``, made for every row at once.
@@ -137,7 +134,7 @@ def _self_consistent(perms, high, low, dist: VoterDistribution, tol: float) -> n
     d_a = np.sum((dist.bliss - high[:, None, :]) ** 2, axis=2)
     gaps = d_b - d_a
     order = np.argsort(gaps, axis=1, kind="stable")
-    tied = np.any(np.diff(np.take_along_axis(gaps, order, axis=1), axis=1) < tol, axis=1)
+    tied = np.any(np.diff(np.take_along_axis(gaps, order, axis=1), axis=1) < RANK_TOL, axis=1)
     return np.all(order == perms, axis=1) & ~tied
 
 
@@ -166,32 +163,25 @@ class LocalEquilibrium:
     payoff: float
 
 
-def _payoff_base(nu: ReducedPayoff) -> float:
-    return 0.5 * (nu.value_at_one + nu.value_at_zero)
-
-
 def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                               cap: int = FACTORIAL_CAP, tol: float = RANK_TOL,
-                               check: bool = True):
+                               cap: int = FACTORIAL_CAP):
     """All local equilibria by permutation search, in lexicographic order.
 
     Keeps exactly the rankings that reproduce themselves at their generated
-    platform pair. With ``check`` every kept pair is verified against the
-    exact integrator: both parties' expected payoffs must match the
-    distance identity within 1e-8.
+    platform pair, with adjacent gaps at least ``RANK_TOL`` apart. Every
+    kept pair is verified against the exact integrator: both parties'
+    expected payoffs must match the distance identity within 1e-8.
     """
     perms, high, low = _all_rankings(dist, nu, cap,
                                      "; use best_response_dynamics for larger electorates")
     nu.require_normalized()
-    base = _payoff_base(nu)
-    kept = np.flatnonzero(_self_consistent(perms, high, low, dist, tol))
+    kept = np.flatnonzero(_self_consistent(perms, high, low, dist))
     found = []
     for perm, x_a, x_b in zip(perms[kept], high[kept], low[kept]):
         pair = PlatformPair(x_a, x_b)
         sq = pair.sq_distance
-        payoff = base + sq / (2.0 * shock.half_width)
-        if check:
-            _check_equilibrium_payoffs(pair, payoff, dist, nu, shock)
+        payoff = distance_payoff(nu, shock, sq)
+        _check_equilibrium_payoffs(pair, payoff, dist, nu, shock)
         found.append(LocalEquilibrium(pair=pair, ranking=tuple(int(i) for i in perm),
                                       sq_distance=sq, payoff=payoff))
     return found
@@ -230,6 +220,11 @@ def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
     return np.sum(_nu_on_distinct(nu, tails) * probs, axis=1)
 
 
+def _best_candidate(payoffs: np.ndarray) -> int:
+    """Index of the best payoff; ties within ``_PAYOFF_TIE_TOL`` go to the lowest index."""
+    return int(np.flatnonzero(payoffs >= payoffs.max() - _PAYOFF_TIE_TOL)[0])
+
+
 def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
                   cap: int = FACTORIAL_CAP) -> np.ndarray:
     """Globally best platform against ``opponent``.
@@ -244,8 +239,7 @@ def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: S
         raise DimensionError("opponent platform dimension mismatch")
     cands = candidate_platforms(dist, nu, cap)
     payoffs = _batch_payoffs(cands, opp, dist, nu, shock)
-    best = int(np.flatnonzero(payoffs >= payoffs.max() - _PAYOFF_TIE_TOL)[0])
-    return cands[best].copy()
+    return cands[_best_candidate(payoffs)].copy()
 
 
 @dataclass(frozen=True)
@@ -279,13 +273,12 @@ def best_response_dynamics(start, dist: VoterDistribution, nu: ReducedPayoff, sh
         own = pair.x_a if mover_is_a else pair.x_b
         opp = pair.x_b if mover_is_a else pair.x_a
         payoffs = _batch_payoffs(cands, opp, dist, nu, shock)
-        best_val = payoffs.max()
         current = _batch_payoffs(own[None, :], opp, dist, nu, shock)[0]
-        if current >= best_val - _PAYOFF_TIE_TOL:
+        if current >= payoffs.max() - _PAYOFF_TIE_TOL:
             stale += 1
         else:
             stale = 0
-            chosen = cands[int(np.flatnonzero(payoffs >= best_val - _PAYOFF_TIE_TOL)[0])]
+            chosen = cands[_best_candidate(payoffs)]
             pair = PlatformPair(chosen, opp) if mover_is_a else PlatformPair(opp, chosen)
         traj.append(pair)
         sq.append(pair.sq_distance)
@@ -306,12 +299,12 @@ class NashReport:
 
 
 def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                               cap: int = FACTORIAL_CAP, tol: float = 1e-9) -> NashReport:
+                               cap: int = FACTORIAL_CAP) -> NashReport:
     """Nash equilibria of maximal platform differentiation.
 
     Requires a symmetric electorate (existence is only guaranteed there).
-    All local equilibria within ``tol`` of the maximal squared distance are
-    returned; ties at machine precision are not broken.
+    All local equilibria within ``PREFERRED_TOL`` of the maximal squared
+    distance are returned; ties at machine precision are not broken.
     """
     if not is_symmetric(dist):
         raise PreconditionError("party-preferred selection requires a symmetric electorate")
@@ -321,28 +314,29 @@ def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
             "no local equilibrium found for a symmetric electorate; "
             "check ranking tolerance against near-tied types")
     max_sq = max(eq.sq_distance for eq in inventory)
-    best = tuple(eq for eq in inventory if eq.sq_distance >= max_sq - tol)
+    best = tuple(eq for eq in inventory if eq.sq_distance >= max_sq - PREFERRED_TOL)
     return NashReport(party_preferred=best, max_sq_distance=max_sq, inventory=tuple(inventory))
 
 
-def is_symmetric(dist: VoterDistribution, tol: float = 1e-9) -> bool:
-    """Whether every type has a mirror image through the mean bliss point."""
-    center = dist.mean_bliss()
-    targets = 2.0 * center - dist.bliss
-    unused = set(range(dist.n_types))
+def is_symmetric(dist: VoterDistribution) -> bool:
+    """Whether every type has a mirror image through the mean bliss point.
+
+    Types pair greedily in index order, each with the lowest-index unpaired
+    type (itself included) within ``SYMMETRY_TOL`` of its mirror image in
+    every coordinate and in share.
+    """
+    targets = 2.0 * dist.mean_bliss() - dist.bliss
+    unused = np.ones(dist.n_types, dtype=bool)
     for i in range(dist.n_types):
-        if i not in unused:
+        if not unused[i]:
             continue
-        match = None
-        for j in unused:
-            if (np.max(np.abs(dist.bliss[j] - targets[i])) <= tol
-                    and abs(dist.shares[j] - dist.shares[i]) <= tol):
-                match = j
-                break
-        if match is None:
+        ok = (unused
+              & (np.max(np.abs(dist.bliss - targets[i]), axis=1) <= SYMMETRY_TOL)
+              & (np.abs(dist.shares - dist.shares[i]) <= SYMMETRY_TOL))
+        if not ok.any():
             return False
-        unused.discard(i)
-        unused.discard(match)
+        unused[i] = False
+        unused[np.argmax(ok)] = False
     return True
 
 
@@ -354,16 +348,8 @@ def median_position(ranking, dist: VoterDistribution):
     sign statements about the split are skipped.
     """
     _validate_ranking(ranking, dist)
-    shares = dist.shares[np.asarray(ranking, dtype=int)]
-    heads = np.cumsum(shares)
-    if np.any(np.abs(heads[:-1] - 0.5) <= 1e-12):
-        return None, True
-    below = np.concatenate(([0.0], heads[:-1]))
-    above = 1.0 - heads
-    ok = np.flatnonzero((below < 0.5) & (above < 0.5))
-    if len(ok) != 1:
-        raise InternalConsistencyError("median position is not unique")
-    return int(ok[0]), False
+    position, tie = _median_cut(np.cumsum(dist.shares[np.asarray(ranking, dtype=int)]))
+    return (None, True) if tie else (position, False)
 
 
 def local_divide_gradient(ranking, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -382,8 +368,9 @@ def local_divide_gradient(ranking, dist: VoterDistribution, nu: ReducedPayoff, s
     if not 0 <= dim < dist.dimension:
         raise PreconditionError(f"dimension {dim} out of range")
     nu.require_strictly_concave()
-    w_low, w_high = ranking_weights(ranking, dist, nu)
-    pts = dist.bliss[np.asarray(ranking, dtype=int)]
+    idx = np.asarray(ranking, dtype=int)
+    w_low, w_high = equilibrium_weights(dist.shares[idx], nu)
+    pts = dist.bliss[idx]
     pair = PlatformPair(*_weighted_sides(w_low, w_high, pts))
     if induced_ranking(pair, dist) != tuple(ranking):
         raise PreconditionError("ranking is not self-consistent for this electorate")

@@ -63,13 +63,15 @@ class VoterDistribution:
             raise PreconditionError("shares must be a vector with one entry per type")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise PreconditionError("need at least one type and one policy dimension")
-        if np.any(shr <= 0.0) or np.any(shr > 1.0):
+        if not np.all((shr > 0.0) & (shr <= 1.0)):     # NaN fails too
             raise PreconditionError("every share must lie in (0, 1]")
         if abs(shr.sum() - 1.0) > SHARE_SUM_TOL:
             raise PreconditionError(f"shares sum to {shr.sum():.17g}, expected 1")
         duplicate = _first_duplicate_row(pts)
         if duplicate is not None:
             raise PreconditionError("bliss points of types {} and {} coincide".format(*duplicate))
+        if not np.all(np.isfinite(pts)):
+            raise PreconditionError("bliss points must be finite")
         if labels is None:
             labels = tuple(f"type{i}" for i in range(pts.shape[0]))
         else:
@@ -94,14 +96,6 @@ class VoterDistribution:
         off = np.asarray(offset, dtype=float).reshape(self.dimension)
         return VoterDistribution(self.bliss + off, self.shares, self.labels)
 
-    def sorted_1d(self) -> "VoterDistribution":
-        """Ascending-bliss copy of a one-dimensional electorate."""
-        if self.dimension != 1:
-            raise DimensionError("sorted_1d requires a one-dimensional electorate")
-        order = np.argsort(self.bliss[:, 0], kind="stable")
-        return VoterDistribution(self.bliss[order], self.shares[order],
-                                 tuple(self.labels[i] for i in order))
-
     def ascending_order(self) -> np.ndarray:
         if self.dimension != 1:
             raise DimensionError("ascending_order requires a one-dimensional electorate")
@@ -121,8 +115,8 @@ class Shock:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise PreconditionError("shock half-width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise PreconditionError("shock half-width must be positive and finite")
 
     @property
     def density_at_zero(self) -> float:
@@ -184,7 +178,7 @@ class PowerMap:
     """
 
     def __init__(self, total, func, jump=0.0, half_lower=None, half_upper=None,
-                 description="custom", validate=True):
+                 description="custom"):
         if not total > 0.0:
             raise PreconditionError("total power must be positive")
         self.total = float(total)
@@ -194,10 +188,6 @@ class PowerMap:
         self.half_lower = mid if half_lower is None else float(half_lower)
         self.half_upper = mid if half_upper is None else float(half_upper)
         self.description = description
-        if validate:
-            self._validate()
-
-    def _validate(self):
         vals = self.evaluate(_GRID)
         diffs = np.diff(vals)
         if np.any(diffs <= 0.0):
@@ -222,16 +212,12 @@ class PowerUtility:
     Verified by central finite differences on a grid over [0, total].
     """
 
-    def __init__(self, func, total=1.0, description="custom", validate=True):
+    def __init__(self, func, total=1.0, description="custom"):
         if not total > 0.0:
             raise PreconditionError("total power must be positive")
         self._func = func
         self.total = float(total)
         self.description = description
-        if validate:
-            self._validate()
-
-    def _validate(self):
         h = _FD_STEP * self.total
         pts = np.linspace(h, self.total - h, 999)
         up = self.evaluate(pts + h)
@@ -338,6 +324,11 @@ class ReducedPayoff:
     def span(self) -> float:
         return self.value_at_one - self.value_at_zero
 
+    @property
+    def unit_span(self) -> bool:
+        """Whether the payoff is normalized: its span over [0, 1] is one within 1e-12."""
+        return abs(self.span - 1.0) <= 1e-12
+
     def evaluate(self, share):
         s = np.clip(np.asarray(share, dtype=float), 0.0, 1.0)
         out = (np.asarray(self._func(s), dtype=float) - self._offset) / self._scale
@@ -346,7 +337,7 @@ class ReducedPayoff:
     __call__ = evaluate
 
     def require_normalized(self):
-        if abs(self.span - 1.0) > 1e-12:
+        if not self.unit_span:
             raise PreconditionError("operation requires a payoff normalized to unit span")
 
     def require_strictly_concave(self):
@@ -431,10 +422,10 @@ def _sorted_gap_lottery(gaps, shares, half_width):
     return tails, (cuts[..., 1:] - cuts[..., :-1]) / (2.0 * half_width)
 
 
-def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair, tie_tol=TIE_TOL):
+def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
     """Exact distribution of party A's vote share under the uniform shock.
 
-    Types are sorted by preference gap, gaps closer than ``tie_tol`` are
+    Types are sorted by preference gap, gaps closer than ``TIE_TOL`` are
     merged into blocks, and the share is piecewise constant between block
     gaps clamped to the shock support. Returns ``(shares, probabilities)``
     with probabilities summing to one.
@@ -443,20 +434,28 @@ def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair, tie_tol=TIE_
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
     # merge near-ties into blocks
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= tie_tol) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
     return _sorted_gap_lottery(g[starts], np.add.reduceat(dist.shares[order], starts),
                                shock.half_width)
 
 
 def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,
-                    party="A", tie_tol=TIE_TOL) -> float:
+                    party="A") -> float:
     """Exact expected reduced payoff for one party at a platform pair."""
-    shares, probs = vote_share_lottery(dist, shock, pair, tie_tol)
+    shares, probs = vote_share_lottery(dist, shock, pair)
     if party == "B":
         shares = 1.0 - shares
     elif party != "A":
         raise PreconditionError(f"party must be 'A' or 'B', got {party!r}")
     return float(np.dot(nu.evaluate(shares), probs))
+
+
+def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
+    """Distance identity: equilibrium payoff at squared platform distance ``sq``.
+
+    The mean of the payoff's extremes plus the insurance term sq / (2 h).
+    """
+    return 0.5 * (nu.value_at_one + nu.value_at_zero) + sq / (2.0 * shock.half_width)
 
 
 def monte_carlo_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,

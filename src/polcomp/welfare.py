@@ -45,8 +45,7 @@ class PolicyLottery:
         return float(((self.outcomes - m) ** 2) @ self.probabilities)
 
 
-def policy_lottery(pair, dist: VoterDistribution, power: PowerMap, shock: Shock,
-                   tie_tol: float = 1e-9) -> PolicyLottery:
+def policy_lottery(pair, dist: VoterDistribution, power: PowerMap, shock: Shock) -> PolicyLottery:
     """Exact lottery of the power-weighted compromise policy.
 
     On each shock interval the vote share, hence the power split, hence the
@@ -56,7 +55,7 @@ def policy_lottery(pair, dist: VoterDistribution, power: PowerMap, shock: Shock,
     p = as_pair(pair)
     if p.dimension != 1 or dist.dimension != 1:
         raise DimensionError("policy lotteries are defined on one policy dimension")
-    shares, probs = vote_share_lottery(dist, shock, p, tie_tol)
+    shares, probs = vote_share_lottery(dist, shock, p)
     lam = np.asarray(power.evaluate(shares), dtype=float) / power.total
     outcomes = lam * p.x_a[0] + (1.0 - lam) * p.x_b[0]
     order = np.argsort(outcomes, kind="stable")

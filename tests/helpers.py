@@ -6,7 +6,7 @@ import numpy as np
 
 import polcomp as pc
 from polcomp.equilibrium1d import equilibrium_weights
-from polcomp.equilibriumkd import RANK_TOL
+from polcomp.equilibriumkd import SYMMETRY_TOL
 
 
 def grid_best_response(dist, nu, shock, opponent, n_points=10_000):
@@ -130,7 +130,7 @@ def oracle_ranking_platforms(dist, nu):
     return out
 
 
-def oracle_local_equilibria(dist, nu, shock, tol=RANK_TOL):
+def oracle_local_equilibria(dist, nu, shock):
     """Self-consistent rankings by ``induced_ranking`` on each permutation.
 
     Returns ``(ranking, x_a, x_b, sq_distance, payoff)`` tuples in
@@ -140,7 +140,7 @@ def oracle_local_equilibria(dist, nu, shock, tol=RANK_TOL):
     found = []
     for perm, high, low in oracle_ranking_platforms(dist, nu):
         pair = pc.PlatformPair(high, low)
-        if pc.induced_ranking(pair, dist, tol) != perm:
+        if pc.induced_ranking(pair, dist) != perm:
             continue
         sq = pair.sq_distance
         found.append((perm, pair.x_a, pair.x_b, sq, base + sq / (2.0 * shock.half_width)))
@@ -163,3 +163,48 @@ def oracle_duplicate_pair(bliss):
             if np.array_equal(pts[i], pts[j]):
                 return i, j
     return None
+
+
+def oracle_is_symmetric(dist):
+    """Greedy mirror pairing by the pairwise loop, lowest unpaired index first."""
+    targets = 2.0 * dist.mean_bliss() - dist.bliss
+    unused = set(range(dist.n_types))
+    for i in range(dist.n_types):
+        if i not in unused:
+            continue
+        match = None
+        for j in sorted(unused):
+            if (np.max(np.abs(dist.bliss[j] - targets[i])) <= SYMMETRY_TOL
+                    and abs(dist.shares[j] - dist.shares[i]) <= SYMMETRY_TOL):
+                match = j
+                break
+        if match is None:
+            return False
+        unused.discard(i)
+        unused.discard(match)
+    return True
+
+
+def oracle_median_bliss(dist):
+    """``(median, index)`` by walking the ascending cumulative shares one type at a time."""
+    order = dist.ascending_order()
+    x = dist.bliss[order, 0]
+    heads = np.cumsum(dist.shares[order])
+    for i, h in enumerate(heads):
+        if abs(h - 0.5) <= 1e-12:
+            return 0.5 * (x[i] + x[i + 1]), None
+        if h > 0.5:
+            return float(x[i]), int(order[i])
+    raise AssertionError("cumulative shares never reached one half")
+
+
+def oracle_median_position(ranking, dist):
+    """``(position, straddling)`` from the masses strictly below and above each position."""
+    heads = np.cumsum(dist.shares[np.asarray(ranking, dtype=int)])
+    if np.any(np.abs(heads[:-1] - 0.5) <= 1e-12):
+        return None, True
+    below = np.concatenate(([0.0], heads[:-1]))
+    above = 1.0 - heads
+    ok = np.flatnonzero((below < 0.5) & (above < 0.5))
+    assert len(ok) == 1, "median position is not unique"
+    return int(ok[0]), False

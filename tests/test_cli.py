@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polcomp as pc
 from polcomp import cli
+from polcomp import equilibrium1d as eq1d
 from polcomp import equilibriumkd as eqkd
 from polcomp.cli import main, run, validate_result_record, SchemaError
 
@@ -163,6 +166,26 @@ class TestPreconditionHandling:
         record = json.loads((tmp_path / "validate.json").read_text())
         assert record["result"]["checks"]["minority_gain_strict"] is False
 
+    @pytest.mark.parametrize("subcommand", ["eq1d", "validate"])
+    @pytest.mark.parametrize("where,value,message", [
+        ("share", float("nan"), "every share must lie in (0, 1]"),
+        ("bliss", float("nan"), "bliss points must be finite"),
+        ("bliss", float("inf"), "bliss points must be finite"),
+        ("half_width", float("inf"), "shock half-width must be positive and finite"),
+    ])
+    def test_non_finite_numbers_exit_three(self, tmp_path, capsys, subcommand, where, value,
+                                           message):
+        scenario = base_scenario()
+        if where == "half_width":
+            scenario["shock"]["half_width"] = value
+        else:
+            scenario["distribution"]["types"][0][where] = value
+        path = write_scenario(tmp_path, scenario)
+        assert ("NaN" if value != value else "Infinity") in Path(path).read_text()
+        assert main([subcommand, "--scenario", path, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / f"{subcommand}.json").exists()
+
     def test_validate_passes_reference(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario())
         assert main(["validate", "--scenario", path, "--out", str(tmp_path)]) == 0
@@ -194,6 +217,31 @@ class TestSubcommands:
         validate_result_record(record)
         assert record["result"]["stances"]["right"]["A"] == "attract"
         assert record["result"]["stances"]["right"]["B"] == "alienate"
+
+    def test_classify_solves_once_and_matches_classify_group(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        bliss = np.sort(rng.uniform(-1.0, 1.0, size=9))
+        shares = rng.uniform(0.5, 1.5, size=9)
+        shares /= shares.sum()
+        scenario = base_scenario()
+        scenario["distribution"]["types"] = [{"bliss": [float(b)], "share": float(s)}
+                                             for b, s in zip(bliss, shares)]
+        scenario["shock"]["half_width"] = 5.0
+        dist = cli._parse_distribution(scenario["distribution"])
+        nu, shock = pc.payoff_preset("quadratic"), pc.Shock(5.0)
+        want = {dist.labels[i]: {p: pc.classify_group(dist, nu, shock, i, p).value
+                                 for p in ("A", "B")} for i in range(dist.n_types)}
+        calls = []
+        solve = eq1d.equilibrium_1d
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(eq1d, "equilibrium_1d", counted)
+        record = run("classify", scenario, tmp_path)
+        assert record["result"]["stances"] == want
+        assert len(calls) == 1
 
     def test_spread(self, tmp_path):
         scenario = base_scenario(candidate={"types": [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
 from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
@@ -7,10 +8,25 @@ from polcomp.errors import DimensionError, InternalConsistencyError, Preconditio
 from helpers import (
     central_difference,
     grid_equilibrium_1d,
+    oracle_median_bliss,
+    oracle_median_position,
     outward_spread,
     random_diverse_instance,
     shock_for,
 )
+
+
+@st.composite
+def integer_weight_electorates(draw):
+    """1-D electorates with shares w / sum(w) for small integers w.
+
+    Integer weights make cumulative shares land exactly on one half for
+    many orders, which is where the median rules branch.
+    """
+    n = draw(st.integers(1, 8))
+    points = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    return pc.VoterDistribution(np.array(points, dtype=float) / 4.0, weights / weights.sum())
 
 
 class TestClosedForm:
@@ -92,6 +108,16 @@ class TestBenchmarkAndMedian:
     def test_median_examples(self, bliss, shares, expected):
         median, _ = pc.median_bliss(pc.VoterDistribution(bliss, shares))
         assert median == pytest.approx(expected, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dist=integer_weight_electorates(), data=st.data())
+    def test_median_rules_match_oracles(self, dist, data):
+        median, index = pc.median_bliss(dist)
+        want_median, want_index = oracle_median_bliss(dist)
+        assert index == want_index
+        assert median == want_median and type(median) is type(want_median)
+        ranking = data.draw(st.permutations(range(dist.n_types)))
+        assert pc.median_position(ranking, dist) == oracle_median_position(ranking, dist)
 
     def test_median_index_reported(self):
         median, idx = pc.median_bliss(pc.VoterDistribution([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3]))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polcomp as pc
 from polcomp import equilibriumkd as eqkd
@@ -12,6 +12,7 @@ from polcomp.errors import DimensionError, PreconditionError
 from helpers import (
     central_difference,
     oracle_candidates,
+    oracle_is_symmetric,
     oracle_local_equilibria,
     outward_directional_spread,
     random_symmetric_instance,
@@ -37,6 +38,46 @@ def small_electorates(draw, max_types=6):
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n, unique=True))
     weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)), dtype=float)
     return pc.VoterDistribution(np.array(points), weights / weights.sum())
+
+
+@st.composite
+def mirrored_electorates(draw):
+    """Quarter-grid mirror pairs (and maybe a center type), nudged by about 1e-9.
+
+    Nudges of 0, 0.5, 1, 1.5 and 3 times the symmetry tolerance, on
+    coordinates and on pairs of shares (one up, one down, so they still sum
+    to one), put mirror images on both sides of the tolerance. Near-twins
+    of a type give a mirror image several candidates, so the pairing order
+    matters.
+    """
+    dim = draw(st.integers(1, 3))
+    cell = st.integers(-4, 4).map(lambda v: v / 4.0)
+    center = np.array(draw(st.tuples(*[cell] * dim)))
+    offsets = np.array(draw(st.lists(st.tuples(*[cell] * dim), min_size=1, max_size=4)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(offsets), max_size=len(offsets)))
+    pts = [*(center + offsets), *(center - offsets)]
+    weights = weights + weights
+    if draw(st.booleans()):
+        pts.append(center)
+        weights.append(2)
+    nudge = st.sampled_from([0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 3e-9])
+    for _ in range(draw(st.integers(0, 2))):
+        twin = pts[draw(st.integers(0, len(pts) - 1))].copy()
+        twin[draw(st.integers(0, dim - 1))] += draw(nudge)
+        pts.append(twin)
+        weights.append(draw(st.integers(1, 3)))
+    pts = np.array(pts)
+    shares = np.array(weights, dtype=float) / sum(weights)
+    n = len(pts)
+    for _ in range(draw(st.integers(0, 3))):
+        pts[draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))] += draw(nudge)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        step = draw(nudge)
+        shares[i] += step
+        shares[j] -= step
+    assume(len(np.unique(pts, axis=0)) == n)
+    return pc.VoterDistribution(pts, shares)
 
 
 def _inventory_rows(found):
@@ -409,6 +450,32 @@ class TestSymmetry:
     def test_self_paired_center(self):
         d = pc.VoterDistribution([[-1.0], [0.0], [1.0]], [0.3, 0.4, 0.3])
         assert pc.is_symmetric(d)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dist=mirrored_electorates())
+    def test_matches_pairwise_loop(self, dist):
+        assert pc.is_symmetric(dist) == oracle_is_symmetric(dist)
+
+    def test_large_grid_matches_pairwise_loop(self):
+        # perturbations of 0.5e-9 and 2e-9 straddle SYMMETRY_TOL
+        rng = np.random.default_rng(7)
+        grid = np.array([(x, y) for x in range(-5, 5) for y in range(-10, 10)], dtype=float) + 0.5
+        for trial in range(6):
+            pts = grid.copy()
+            pts[rng.integers(len(pts), size=3), rng.integers(2, size=3)] += (
+                rng.choice([-1.0, 1.0], size=3) * rng.choice([0.5e-9, 2e-9], size=3))
+            d = pc.VoterDistribution(pts, np.full(len(pts), 1.0 / len(pts)))
+            assert pc.is_symmetric(d) == oracle_is_symmetric(d)
+
+    def test_thousands_of_types(self):
+        rng = np.random.default_rng(11)
+        half = rng.uniform(0.1, 1.0, size=(1500, 2)) * rng.choice([-1.0, 1.0], size=(1500, 2))
+        shares = np.tile(rng.uniform(0.5, 1.5, size=1500), 2)
+        d = pc.VoterDistribution(np.vstack([half, -half]), shares / shares.sum())
+        assert pc.is_symmetric(d)
+        moved = pc.VoterDistribution(np.vstack([half, -half[:-1], [-half[-1] + 1e-3]]),
+                                     shares / shares.sum())
+        assert not pc.is_symmetric(moved)
 
 
 class TestDivideGradient:

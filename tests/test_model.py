@@ -3,6 +3,7 @@ import pytest
 
 import polcomp as pc
 from polcomp.errors import DimensionError, PreconditionError
+from polcomp.model import _first_duplicate_row, distance_payoff
 
 from helpers import oracle_duplicate_pair, random_diverse_instance, shock_for
 
@@ -43,7 +44,8 @@ class TestVoterDistribution:
             bliss, shares = (pts if dim > 1 else pts[:, 0]), np.full(n, 1.0 / n)
             expected = oracle_duplicate_pair(pts)
             if expected is None:        # the NaN landed on every planted copy
-                assert pc.VoterDistribution(bliss, shares).n_types == n
+                with pytest.raises(PreconditionError, match=r"^bliss points must be finite$"):
+                    pc.VoterDistribution(bliss, shares)
                 continue
             i, j = expected
             with pytest.raises(PreconditionError,
@@ -51,8 +53,22 @@ class TestVoterDistribution:
                 pc.VoterDistribution(bliss, shares)
 
     def test_nan_rows_are_not_duplicates(self):
-        d = pc.VoterDistribution([[np.nan, 1.0], [np.nan, 1.0]], [0.5, 0.5])
-        assert d.n_types == 2
+        nan_rows = np.array([[np.nan, 1.0], [np.nan, 1.0]])
+        assert _first_duplicate_row(nan_rows) is None
+        with pytest.raises(PreconditionError, match=r"^bliss points must be finite$"):
+            pc.VoterDistribution([[np.nan, 1.0], [np.nan, 1.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("shares", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5],
+                                        [np.nan, np.nan]])
+    def test_non_finite_shares_rejected(self, shares):
+        with pytest.raises(PreconditionError, match=r"^every share must lie in \(0, 1\]$"):
+            pc.VoterDistribution([0.0, 1.0], shares)
+
+    @pytest.mark.parametrize("bliss", [[np.nan, 1.0], [0.0, np.inf], [-np.inf, 1.0],
+                                       [[0.0, np.nan], [1.0, 1.0]]])
+    def test_non_finite_bliss_rejected(self, bliss):
+        with pytest.raises(PreconditionError, match=r"^bliss points must be finite$"):
+            pc.VoterDistribution(bliss, [0.5, 0.5])
 
     def test_large_electorate_builds(self):
         rng = np.random.default_rng(43)
@@ -74,6 +90,11 @@ class TestShock:
     def test_requires_positive_half_width(self):
         with pytest.raises(PreconditionError):
             pc.Shock(0.0)
+
+    @pytest.mark.parametrize("half_width", [np.inf, np.nan, -np.inf])
+    def test_requires_finite_half_width(self, half_width):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            pc.Shock(half_width)
 
     def test_density_at_zero(self):
         assert pc.Shock(2.0).density_at_zero == pytest.approx(0.25)
@@ -131,6 +152,35 @@ class TestShockSupport:
     def test_single_type_always_ok(self):
         d = pc.VoterDistribution([[3.0]], [1.0])
         assert pc.check_shock_support(d, pc.Shock(0.001)).ok
+
+
+class TestDistancePayoff:
+    def test_one_identity_for_every_caller(self, nu_quadratic):
+        dist = pc.VoterDistribution([-1.0, 0.2, 1.0], [0.3, 0.3, 0.4])
+        shock = shock_for(dist)
+        eq = pc.equilibrium_1d(dist, nu_quadratic, shock)
+        assert eq.payoff == distance_payoff(nu_quadratic, shock, eq.distance ** 2)
+        assert pc.conflict_issue_payoff(dist, nu_quadratic, shock, 1.0) == eq.payoff
+        assert pc.conflict_issue_payoff(dist, nu_quadratic, shock, 0.5) == \
+            distance_payoff(nu_quadratic, shock, 0.5 * eq.distance ** 2)
+        for local in pc.enumerate_local_equilibria(dist, nu_quadratic, shock):
+            assert local.payoff == distance_payoff(nu_quadratic, shock, local.sq_distance)
+
+    def test_single_type_earns_the_even_split_value(self, nu_quadratic, unit_shock):
+        eq = pc.equilibrium_1d(pc.VoterDistribution([0.3], [1.0]), nu_quadratic, unit_shock)
+        assert eq.payoff == 0.5 * (nu_quadratic.value_at_one + nu_quadratic.value_at_zero)
+
+
+class TestUnitSpan:
+    def test_normalized_payoff(self, nu_quadratic):
+        assert nu_quadratic.unit_span
+        nu_quadratic.require_normalized()
+
+    def test_raw_payoff(self):
+        nu = pc.ReducedPayoff(lambda s: 2.0 * np.asarray(s, dtype=float), normalize=False)
+        assert not nu.unit_span
+        with pytest.raises(PreconditionError, match="unit span"):
+            nu.require_normalized()
 
 
 class TestExpectedPayoff:
