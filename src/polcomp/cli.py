@@ -38,7 +38,9 @@ dspread {"candidate": {...}, "cap": n?}; welfare {"platforms": [a, b]?};
 premium-sweep {"premiums": [...]}; info {"salience", "prior_common",
 "prior_conflict", "posterior_conflict"}; dynamics {"gap", "theta_high",
 "theta_low", "cost", "horizon"}; validate ignores the task block (it
-belongs to whichever subcommand will consume the scenario).
+belongs to whichever subcommand will consume the scenario). validate's
+``checks.shares_valid`` is always true: invalid or non-finite shares exit 3
+while the scenario is parsed, before any record is written.
 
 Every run writes ``<out>/<subcommand>.json``; with ``--format csv`` or
 ``both`` the subcommands below add fixed-column CSVs (17 significant

@@ -12,11 +12,18 @@ The module also classifies which voter groups a party gains from
 attracting or alienating, computes exact payoff gradients in bliss points,
 and orders electorates by outward shifts of the two median-conditional
 distributions (spreads), under which equilibrium payoffs strictly rise.
+
+One verified solve is kept per electorate, keyed on the payoff object and
+the shock, so the per-type questions (``classify_group``,
+``payoff_gradient``) cost one solve for the whole electorate rather than
+one each. This relies on ``VoterDistribution`` and ``ReducedPayoff`` being
+immutable after construction, as documented in ``model``.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +61,11 @@ class Equilibrium1D:
     median: float
     order: np.ndarray
     diverse: bool = True
+
+    def __post_init__(self):
+        # one record may be handed to many callers (see equilibrium_1d)
+        for a in (self.weights_low, self.weights_high, self.order):
+            a.setflags(write=False)
 
     @property
     def distance(self) -> float:
@@ -127,6 +139,11 @@ def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
     return w_low, w_high
 
 
+# Last verified solve of each live electorate: dist -> (nu, shock, eq).
+# Weak keys, so a collected electorate frees its entry.
+_SOLVED = weakref.WeakKeyDictionary()
+
+
 def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
                    check: bool = True) -> Equilibrium1D:
     """Closed-form unidimensional equilibrium.
@@ -138,7 +155,26 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     computed platforms. Pass ``check=False`` to inspect the mechanical
     output for boundary inputs (e.g. a linear payoff collapses both
     platforms onto one point).
+
+    One verified solve is kept per electorate: a checked call with the
+    same ``nu`` object and an equal ``Shock`` as that electorate's last
+    verified solve returns the same read-only record without solving or
+    checking again. This relies on ``VoterDistribution`` and
+    ``ReducedPayoff`` being immutable. A failing check stores nothing, and
+    ``check=False`` neither reads nor replaces the stored solve.
     """
+    if not check:
+        return _solve(dist, nu, shock, check=False)
+    hit = _SOLVED.get(dist)
+    if hit is not None and hit[0] is nu and hit[1] == shock:
+        return hit[2]
+    eq = _solve(dist, nu, shock, check=True)
+    _SOLVED[dist] = (nu, shock, eq)
+    return eq
+
+
+def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
+           check: bool) -> Equilibrium1D:
     if dist.dimension != 1:
         raise DimensionError("equilibrium_1d requires a one-dimensional electorate")
     nu.require_normalized()
@@ -268,13 +304,16 @@ def _median_split(dist: VoterDistribution):
 def _fosd(values_a, mass_a, values_b, mass_b):
     """First-order dominance of lottery a over lottery b on the merged grid.
 
-    Returns (dominates, strict): a dominates b when a's CDF never exceeds
-    b's; strict when it is lower somewhere.
+    Values must be ascending. Returns (dominates, strict): a dominates b
+    when a's CDF never exceeds b's; strict when it is lower somewhere.
     """
     grid = np.unique(np.concatenate((values_a, values_b)))
-    cdf_a = np.array([mass_a[values_a <= t + _STRICT_TOL].sum() for t in grid])
-    cdf_b = np.array([mass_b[values_b <= t + _STRICT_TOL].sum() for t in grid])
-    gap = cdf_b - cdf_a
+
+    def cdf(values, mass):
+        heads = np.concatenate(([0.0], np.cumsum(mass)))
+        return heads[np.searchsorted(values, grid + _STRICT_TOL, side="right")]
+
+    gap = cdf(values_b, mass_b) - cdf(values_a, mass_a)
     dominates = bool(np.all(gap >= -_STRICT_TOL))
     strict = bool(np.any(gap > _STRICT_TOL))
     return dominates, strict

@@ -189,6 +189,8 @@ class PowerMap:
         self.half_upper = mid if half_upper is None else float(half_upper)
         self.description = description
         vals = self.evaluate(_GRID)
+        if not np.all(np.isfinite(vals)):
+            raise PreconditionError("power map must be finite on the validation grid")
         diffs = np.diff(vals)
         if np.any(diffs <= 0.0):
             raise PreconditionError("power map must be strictly increasing in vote share")
@@ -223,6 +225,8 @@ class PowerUtility:
         up = self.evaluate(pts + h)
         mid = self.evaluate(pts)
         dn = self.evaluate(pts - h)
+        if not np.all(np.isfinite((up, mid, dn))):
+            raise PreconditionError("power utility must be finite on the validation grid")
         first = (up - dn) / (2.0 * h)
         second = (up - 2.0 * mid + dn) / (h * h)
         if np.any(first <= 0.0):
@@ -274,6 +278,8 @@ class ReducedPayoff:
         self.power_map = power_map
 
         vals = self.evaluate(_GRID)
+        if not np.all(np.isfinite(vals)):
+            raise PreconditionError("reduced payoff must be finite on the validation grid")
         diffs = np.diff(vals)
         if assume_monotone:
             # strictness already guaranteed by the validated factors; the grid

@@ -208,3 +208,18 @@ def oracle_median_position(ranking, dist):
     ok = np.flatnonzero((below < 0.5) & (above < 0.5))
     assert len(ok) == 1, "median position is not unique"
     return int(ok[0]), False
+
+
+def oracle_fosd(values_a, mass_a, values_b, mass_b):
+    """``(dominates, strict)`` with each CDF summed over a mask per grid point."""
+    grid = np.unique(np.concatenate((values_a, values_b)))
+    cdf_a = np.array([mass_a[values_a <= t + 1e-12].sum() for t in grid])
+    cdf_b = np.array([mass_b[values_b <= t + 1e-12].sum() for t in grid])
+    gap = cdf_b - cdf_a
+    return bool(np.all(gap >= -1e-12)), bool(np.any(gap > 1e-12))
+
+
+def fresh_solve(fn, dist, *args):
+    """``fn`` on a new copy of ``dist``, which has no stored solve: every call solves anew."""
+    copy = pc.VoterDistribution(dist.bliss.copy(), dist.shares.copy(), dist.labels)
+    return fn(copy, *args)

@@ -1,13 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
+from polcomp import equilibrium1d as eq1d
 from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
 from helpers import (
     central_difference,
+    fresh_solve,
     grid_equilibrium_1d,
+    oracle_fosd,
     oracle_median_bliss,
     oracle_median_position,
     outward_spread,
@@ -278,6 +284,26 @@ class TestSpread:
         with pytest.raises(DimensionError):
             pc.is_spread(two_type_2d, two_type_2d)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fosd_matches_mask_oracle(self, data):
+        # quarter-grid values nudged by multiples of half the tolerance, so
+        # grid points fall just inside, on and just outside each other's reach
+        def side():
+            n = data.draw(st.integers(1, 12))
+            base = data.draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True))
+            nudge = data.draw(st.lists(st.sampled_from([-3, -2, -1, 0, 1, 2, 3]),
+                                       min_size=n, max_size=n))
+            values = np.sort(np.array(base) / 4.0 + np.array(nudge) * 0.5e-12)
+            weights = np.array(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)),
+                               dtype=float)
+            return values, 0.5 * weights / weights.sum()
+
+        a, b = side(), side()
+        assert eq1d._fosd(*a, *b) == oracle_fosd(*a, *b)
+        assert eq1d._fosd(*b, *a) == oracle_fosd(*b, *a)
+        assert eq1d._fosd(*a, *a) == oracle_fosd(*a, *a)
+
 
 class TestSpreadPayoffs:
     def test_symmetric_outward(self, nu_quadratic):
@@ -320,3 +346,117 @@ class TestSpreadPayoffs:
             cmp = pc.compare_spread_payoffs(base, cand, nu_quadratic, shock)
             assert cmp.candidate_payoff > cmp.base_payoff
             assert cmp.candidate_distance > cmp.base_distance
+
+
+NU_PAIR = (pc.payoff_preset("quadratic"), pc.payoff_preset("sqrt-sharing"))
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Count the full equilibrium checks run from here on."""
+    calls = []
+    real = eq1d._verify_equilibrium
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(eq1d, "_verify_equilibrium", counting)
+    return calls
+
+
+class TestStoredSolve:
+    def test_per_type_calls_solve_once(self, verify_calls, nu_quadratic):
+        dist = random_diverse_instance(np.random.default_rng(40), n_types=9, dim=1)
+        shock = shock_for(dist)
+        eq = pc.equilibrium_1d(dist, nu_quadratic, shock)
+        for i in range(dist.n_types):
+            for party in ("A", "B"):
+                pc.classify_group(dist, nu_quadratic, shock, i, party)
+            pc.payoff_gradient(dist, nu_quadratic, shock, i)
+        assert len(verify_calls) == 1
+        assert pc.equilibrium_1d(dist, nu_quadratic, shock) is eq
+
+    def test_new_payoff_or_shock_width_resolves(self, verify_calls, two_type, unit_shock):
+        nu = pc.payoff_preset("quadratic")
+        first = pc.equilibrium_1d(two_type, nu, unit_shock)
+        wide = pc.equilibrium_1d(two_type, nu, pc.Shock(2.0))
+        assert len(verify_calls) == 2
+        assert wide.payoff != first.payoff
+        pc.equilibrium_1d(two_type, pc.payoff_preset("quadratic"), pc.Shock(2.0))
+        assert len(verify_calls) == 3
+
+    def test_equal_shock_reuses(self, verify_calls, two_type, nu_quadratic):
+        eq = pc.equilibrium_1d(two_type, nu_quadratic, pc.Shock(1.5))
+        assert pc.equilibrium_1d(two_type, nu_quadratic, pc.Shock(1.5)) is eq
+        assert len(verify_calls) == 1
+
+    def test_unchecked_call_bypasses(self, verify_calls, two_type, nu_quadratic, nu_linear,
+                                     unit_shock):
+        eq = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock)
+        raw = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock, check=False)
+        assert raw is not eq and raw.x_high == eq.x_high
+        # the linear boundary keeps its mechanical output right after a checked solve
+        flat = pc.equilibrium_1d(two_type, nu_linear, unit_shock, check=False)
+        assert np.allclose(flat.weights_high, [0.5, 0.5], atol=1e-15)
+        assert flat.x_low == pytest.approx(0.5, abs=1e-15)
+        assert flat.x_high == pytest.approx(0.5, abs=1e-15)
+        assert len(verify_calls) == 1
+        # ... and did not replace the stored solve
+        assert pc.equilibrium_1d(two_type, nu_quadratic, unit_shock) is eq
+        with pytest.raises(PreconditionError):
+            pc.equilibrium_1d(two_type, nu_linear, unit_shock)
+
+    def test_failing_check_stores_nothing(self, verify_calls, nu_quadratic):
+        d = pc.VoterDistribution([-0.5, 1.5], [0.5, 0.5])
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError):
+                pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
+        assert len(verify_calls) == 2
+        assert d not in eq1d._SOLVED
+        eq = pc.equilibrium_1d(d, nu_quadratic, pc.Shock(4.0))
+        with pytest.raises(InternalConsistencyError):
+            pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
+        # a failure leaves the last verified solve in place
+        assert pc.equilibrium_1d(d, nu_quadratic, pc.Shock(4.0)) is eq
+        assert len(verify_calls) == 4
+
+    def test_arrays_read_only(self, two_type, nu_quadratic, unit_shock):
+        single = pc.VoterDistribution([0.3], [1.0])
+        for dist in (two_type, single):
+            eq = pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
+            for a in (eq.weights_low, eq.weights_high, eq.order):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    def test_entry_freed_with_electorate(self, nu_quadratic, unit_shock):
+        gc.collect()
+        before = len(eq1d._SOLVED)
+        dist = pc.VoterDistribution([0.0, 1.0], [0.5, 0.5])
+        pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
+        assert len(eq1d._SOLVED) == before + 1
+        ref = weakref.ref(dist)
+        del dist
+        gc.collect()
+        assert ref() is None
+        assert len(eq1d._SOLVED) == before
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dist=integer_weight_electorates(), data=st.data())
+    def test_per_type_bits_match_fresh_solves(self, dist, data):
+        # alternate payoffs and shock widths so the stored solve keeps being replaced
+        width = float(np.ptp(dist.bliss[:, 0])) ** 2 + 1.0
+        keys = [(nu, pc.Shock(width * k)) for nu in NU_PAIR for k in (1.0, 1.5)]
+        keys = data.draw(st.permutations(keys))
+        for i in range(dist.n_types):
+            for nu, shock in keys:
+                for party in ("A", "B"):
+                    args = (nu, shock, i, party)
+                    assert (pc.classify_group(dist, *args)
+                            is fresh_solve(pc.classify_group, dist, *args))
+                got = pc.payoff_gradient(dist, nu, shock, i)
+                want = fresh_solve(pc.payoff_gradient, dist, nu, shock, i)
+                assert got.hex() == want.hex()
+                got = pc.equilibrium_1d(dist, nu, shock).payoff
+                assert got.hex() == fresh_solve(pc.equilibrium_1d, dist, nu, shock).payoff.hex()

@@ -132,6 +132,19 @@ class TestCompose:
         with pytest.raises(PreconditionError):
             pc.ReducedPayoff(lambda s: np.zeros_like(np.asarray(s, dtype=float)))
 
+    def test_nan_payoff_rejected(self):
+        with pytest.raises(PreconditionError, match="reduced payoff must be finite"):
+            pc.ReducedPayoff(lambda s: np.where(np.asarray(s) > 0.7, np.nan,
+                                                np.asarray(s, dtype=float)))
+
+    def test_nan_power_map_rejected(self):
+        with pytest.raises(PreconditionError, match="power map must be finite"):
+            pc.PowerMap(1.0, lambda s: np.where(s > 0.9, np.nan, s))
+
+    def test_nan_power_utility_rejected(self):
+        with pytest.raises(PreconditionError, match="power utility must be finite"):
+            pc.PowerUtility(lambda p: np.where(p > 0.8, np.nan, np.sqrt(p)))
+
     def test_total_power_mismatch(self):
         u = pc.utility_preset("quadratic", total_power=2.0)
         with pytest.raises(PreconditionError):
