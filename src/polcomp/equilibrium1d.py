@@ -23,6 +23,7 @@ immutable after construction, as documented in ``model``.
 from __future__ import annotations
 
 import enum
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -66,6 +67,14 @@ class Equilibrium1D:
         # one record may be handed to many callers (see equilibrium_1d)
         for a in (self.weights_low, self.weights_high, self.order):
             a.setflags(write=False)
+
+    @functools.cached_property
+    def position(self) -> np.ndarray:
+        """Sorted position of each type index: the inverse permutation of ``order``."""
+        pos = np.empty_like(self.order)
+        pos[self.order] = np.arange(len(self.order))
+        pos.setflags(write=False)
+        return pos
 
     @property
     def distance(self) -> float:
@@ -236,7 +245,7 @@ def payoff_gradient(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     if not 0 <= type_index < dist.n_types:
         raise PreconditionError(f"type index {type_index} out of range")
     eq = equilibrium_1d(dist, nu, shock)
-    pos = int(np.flatnonzero(eq.order == type_index)[0])
+    pos = eq.position[type_index]
     dw = eq.weights_high[pos] - eq.weights_low[pos]
     return float((eq.x_high - eq.x_low) * dw / shock.half_width)
 

@@ -4,18 +4,27 @@ A platform pair splits voter types into a strict order by their relative
 preference between the two parties. Local equilibria are exactly the
 self-consistent orders: weight the bliss points by the marginal payoff
 increments along the order, and the order induced by the resulting pair
-must reproduce itself. Enumerating all permutations therefore finds every
-local equilibrium at desk scale; party-preferred Nash equilibria are the
-local equilibria of maximal platform distance (symmetric electorates).
-Best-response dynamics over the finite candidate set provides the fallback
-beyond the factorial cap and the convergence machinery.
+must reproduce itself. A pair's gaps are 2x·(a−b) plus a constant, so
+every induced order is the order of the bliss points projected onto a
+direction: only rankings some direction realizes can be self-consistent,
+and only their platforms can be best responses. Searching those rankings
+therefore finds every local equilibrium at desk scale; party-preferred Nash
+equilibria are the local equilibria of maximal platform distance
+(symmetric electorates). Best-response dynamics over the finite candidate
+set provides the fallback beyond the factorial cap and the convergence
+machinery.
 
+The realizable rankings are the cells of the central arrangement of the
+hyperplanes (x_i−x_j)·d = 0. When the bliss differences span at most
+three dimensions they are enumerated from flags of those hyperplanes
+(``_realizable_rankings``); in four or more, and for at most four types,
+every permutation is a row.
 Enumeration, the best-response candidate set and single rankings all go
 through one batched ranking table: every ranking is a row of an (M, n)
 index array, the payoff is evaluated once per distinct head or tail share
 sum, and platforms and the self-consistency check are computed for all
-rows at once. Its intermediates hold about n!·n·K floats each: at the
-factorial cap, 8 types in 3 dimensions, enumeration peaks near 32 MB.
+rows at once. Each live electorate keeps its rows, and its table for the
+last payoff object, so repeated calls on one electorate build them once.
 
 Directional spreads order multidimensional electorates by projecting onto
 a direction (typically the equilibrium separation axis) and applying the
@@ -27,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +57,8 @@ from .equilibrium1d import _median_cut, equilibrium_weights, is_spread
 
 RANK_TOL = 1e-9
 FACTORIAL_CAP = 8
+FLAG_TOL = 1e-9             # sines this small count as a difference lying in a hyperplane
+_FEW_TYPES = 4              # up to this many types the n! rows cost less than the flags
 PREFERRED_TOL = 1e-9        # squared distances this close to the maximum tie for preferred
 SYMMETRY_TOL = 1e-9         # mirror images match within this, coordinates and shares
 _PAYOFF_TIE_TOL = 1e-12
@@ -86,6 +98,106 @@ def _permutations(n: int) -> np.ndarray:
     perms = np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
     perms.setflags(write=False)
     return perms
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Read-only indices ``(first, second)`` of every pair of n types, first < second."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_weights(rank: int) -> np.ndarray:
+    """(r, 2^r) weights: a level's sign times 3^(levels after it), one column per flip pattern.
+
+    With tie-masked signs s_k in {-1, 0, 1}, the sign of s @ column is the
+    sign of the first nonzero s_k, flipped as its level is (3^j exceeds the
+    sum of all lower powers).
+    """
+    flips = np.array(list(itertools.product((1.0, -1.0), repeat=rank)))
+    weights = (flips * 3.0 ** np.arange(rank - 1, -1, -1)).T
+    weights.setflags(write=False)
+    return weights
+
+
+def _flag_levels(unit: np.ndarray) -> np.ndarray:
+    """Levels (F, r, r) of every flag of the hyperplanes with unit normals ``unit`` (m, r).
+
+    Column k of a flag is L_{k+1}. Normals whose sine is at most ``FLAG_TOL``
+    are one hyperplane. In 2-D, L₁ runs along a hyperplane and L₂ is its
+    normal n₁; in 3-D, L₁ = n₁ × n₂ (normalized) for every ordered pair of
+    independent normals, L₂ = L₁ × n₁ and L₃ = n₁.
+    """
+    rank = unit.shape[1]
+    if rank == 1:
+        return np.ones((1, 1, 1))
+    along = unit[:, None, :] - (unit @ unit.T)[:, :, None] * unit[None, :, :]
+    parallel = np.einsum("abk,abk->ab", along, along) <= FLAG_TOL ** 2
+    normals = unit[~np.any(np.tril(parallel, -1), axis=1)]
+    if rank == 2:
+        return np.stack((np.stack((-normals[:, 1], normals[:, 0]), axis=1), normals), axis=2)
+    a, b = np.nonzero(~np.eye(len(normals), dtype=bool))
+    ray = np.cross(normals[a], normals[b])
+    size = np.sqrt(np.einsum("fk,fk->f", ray, ray))
+    independent = size > FLAG_TOL
+    ray = ray[independent] / size[independent, None]
+    n1 = normals[a[independent]]
+    return np.stack((ray, np.cross(ray, n1), n1), axis=2)
+
+
+def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
+    """Read-only (M, n) array of the rankings some direction realizes, lexicographically.
+
+    A ranking lists the types by ascending x·d. The realizable ones are the
+    cells of the central arrangement of the hyperplanes (x_i−x_j)·d = 0,
+    taken in the span of the bliss differences, of rank r. Each cell has an
+    extreme ray L₁ cut out by r−1 independent hyperplanes, and inside L₁^⊥
+    the same holds one dimension down. So for every ordered choice of r−1
+    distinct hyperplanes, L₁ is orthogonal to all of them, L₂ to the first
+    r−2 and to L₁, and so on (``_flag_levels``); ordering the types
+    lexicographically by (x·L₁, …, x·L_r), over every sign of the Lₖ,
+    reaches every cell.
+
+    A pair whose unit difference has a sine of at most ``FLAG_TOL`` against
+    a level is tied there and decided by a later level; hyperplanes that
+    close are merged. If those decisions are not transitive for some flag, a
+    tie was uncertain, and every permutation is returned instead: extra rows
+    cost time but never change a result. So are the rows when r ≥ 4, where
+    the flags outnumber the n! permutations at every n within the factorial
+    cap, and for at most ``_FEW_TYPES`` types, where a table of the n! ≤ 24
+    permutations costs less than enumerating the flags.
+    """
+    n = bliss.shape[0]
+    if n <= _FEW_TYPES:
+        return _permutations(n)
+    first, second = _pairs(n)
+    unit = bliss[first] - bliss[second]
+    # scale by the largest component first, so tiny differences keep their norm
+    unit /= np.max(np.abs(unit), axis=1, keepdims=True)
+    unit /= np.sqrt(np.einsum("pk,pk->p", unit, unit))[:, None]
+    _, sing, basis = np.linalg.svd(unit, full_matrices=False)
+    rank = int(np.count_nonzero(sing > FLAG_TOL * sing[0]))
+    if rank > 3:
+        return _permutations(n)
+    unit = unit @ basis[:rank].T                    # (m, r) pair directions in the span
+    proj = unit @ _flag_levels(unit)                # (F, m, r)
+    sign = np.sign(proj) * (np.abs(proj) > FLAG_TOL)
+    # pair (i, j), i < j: i comes after j when its projection is larger
+    later = (sign @ _flip_weights(rank) > 0.0).transpose(0, 2, 1).reshape(-1, len(unit))
+    after = np.zeros((len(later), n, n), dtype=bool)
+    after[:, first, second] = later
+    after[:, second, first] = ~later
+    position = np.sum(after, axis=2)
+    if not np.all(np.sort(position, axis=1) == np.arange(n)):
+        return _permutations(n)
+    rows = np.argsort(position, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
+    rows.setflags(write=False)
+    return rows
 
 
 def _nu_on_distinct(nu: ReducedPayoff, shares: np.ndarray) -> np.ndarray:
@@ -138,14 +250,32 @@ def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
     return np.all(order == perms, axis=1) & ~tied
 
 
-def _all_rankings(dist, nu, cap, advice=""):
-    """``(perms, high, low)`` over every ranking of the types, lexicographically."""
+# Ranking table of each live electorate: dist -> (rows, nu, high, low). The
+# rows depend only on the bliss points, the platforms also on the payoff
+# object. Weak keys, so a collected electorate frees its entry.
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _stored_table(dist, nu, cap, advice=""):
+    """``(rows, high, low)`` over the rows of ``_realizable_rankings``, lexicographically.
+
+    Built once per electorate and payoff object; the rows are reused for any
+    payoff. This relies on ``VoterDistribution`` and ``ReducedPayoff`` being
+    immutable. The arrays are read-only.
+    """
     if dist.n_types > cap:
         raise PreconditionError(
             f"{dist.n_types} types exceed the factorial cap {cap}{advice}")
     nu.require_strictly_concave()
-    perms = _permutations(dist.n_types)
-    return (perms, *_ranking_table(perms, dist, nu))
+    hit = _TABLES.get(dist)
+    if hit is not None and hit[1] is nu:
+        return hit[0], hit[2], hit[3]
+    rows = _realizable_rankings(dist.bliss) if hit is None else hit[0]
+    high, low = _ranking_table(rows, dist, nu)
+    high.setflags(write=False)
+    low.setflags(write=False)
+    _TABLES[dist] = (rows, nu, high, low)
+    return rows, high, low
 
 
 def _validate_ranking(ranking, dist):
@@ -165,19 +295,19 @@ class LocalEquilibrium:
 
 def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
                                cap: int = FACTORIAL_CAP):
-    """All local equilibria by permutation search, in lexicographic order.
+    """All local equilibria by search over the realizable rankings, lexicographically.
 
     Keeps exactly the rankings that reproduce themselves at their generated
     platform pair, with adjacent gaps at least ``RANK_TOL`` apart. Every
     kept pair is verified against the exact integrator: both parties'
     expected payoffs must match the distance identity within 1e-8.
     """
-    perms, high, low = _all_rankings(dist, nu, cap,
-                                     "; use best_response_dynamics for larger electorates")
+    rows, high, low = _stored_table(dist, nu, cap,
+                                    "; use best_response_dynamics for larger electorates")
     nu.require_normalized()
-    kept = np.flatnonzero(_self_consistent(perms, high, low, dist))
+    kept = np.flatnonzero(_self_consistent(rows, high, low, dist))
     found = []
-    for perm, x_a, x_b in zip(perms[kept], high[kept], low[kept]):
+    for perm, x_a, x_b in zip(rows[kept], high[kept], low[kept]):
         pair = PlatformPair(x_a, x_b)
         sq = pair.sq_distance
         payoff = distance_payoff(nu, shock, sq)
@@ -199,12 +329,15 @@ def _check_equilibrium_payoffs(pair, payoff, dist, nu, shock):
 
 
 def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff, cap: int = FACTORIAL_CAP):
-    """Every best-response candidate: both platforms of every ranking.
+    """Every best-response candidate: both platforms of every realizable ranking.
 
-    Ordered lexicographically by generating permutation, high side first,
-    so index order breaks payoff ties deterministically.
+    Only a ranking some direction realizes can be the order along a best
+    response's separation, so the rankings no direction realizes add no
+    candidate that can win. Ordered lexicographically by generating
+    ranking, high side first, so index order breaks payoff ties
+    deterministically.
     """
-    _, high, low = _all_rankings(dist, nu, cap)
+    _, high, low = _stored_table(dist, nu, cap)
     return np.stack((high, low), axis=1).reshape(-1, dist.dimension)
 
 
@@ -220,6 +353,25 @@ def _batch_payoffs(cands: np.ndarray, opponent: np.ndarray, dist, nu, shock):
     return np.sum(_nu_on_distinct(nu, tails) * probs, axis=1)
 
 
+def _require_in_support(opponent: np.ndarray, dist, shock):
+    """Raise unless every gap a candidate can make against ``opponent`` lies in the support.
+
+    Candidates are convex combinations of bliss points, so a type's squared
+    distance to one is at most its largest squared distance to a bliss
+    point. Its gap is then at most its squared distance to the opponent and
+    at least that minus the largest squared distance.
+    """
+    to_opp = np.sum((dist.bliss - opponent) ** 2, axis=1)
+    diff = dist.bliss[:, None, :] - dist.bliss[None, :, :]
+    farthest = np.max(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    h = shock.half_width
+    if not (np.max(to_opp) <= h and np.min(to_opp - farthest) >= -h):
+        raise PreconditionError(
+            f"opponent platform {np.array2string(opponent, precision=17)} lets preference "
+            f"gaps leave the shock support (half-width {h:.17g}); best responses are only "
+            "global inside it")
+
+
 def _best_candidate(payoffs: np.ndarray) -> int:
     """Index of the best payoff; ties within ``_PAYOFF_TIE_TOL`` go to the lowest index."""
     return int(np.flatnonzero(payoffs >= payoffs.max() - _PAYOFF_TIE_TOL)[0])
@@ -229,15 +381,20 @@ def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: S
                   cap: int = FACTORIAL_CAP) -> np.ndarray:
     """Globally best platform against ``opponent``.
 
-    Global best responses always lie in the finite candidate set generated
-    by rankings, so the argmax over that set suffices. Payoff ties resolve
-    to the candidate of the lexicographically smallest generating
-    permutation (high side before low side).
+    Global best responses lie in the finite candidate set generated by
+    realizable rankings as long as every preference gap stays inside the
+    shock support, so the argmax over that set suffices. Requires, for
+    every type i, ‖x_i − opponent‖² ≤ h and ‖x_i − opponent‖² −
+    max_j ‖x_i − x_j‖² ≥ −h, with h the shock half-width; otherwise raises
+    ``PreconditionError``. Payoff ties resolve to the candidate of the
+    lexicographically smallest generating ranking (high side before low
+    side).
     """
     opp = np.atleast_1d(np.asarray(opponent, dtype=float))
     if opp.shape[0] != dist.dimension:
         raise DimensionError("opponent platform dimension mismatch")
     cands = candidate_platforms(dist, nu, cap)
+    _require_in_support(opp, dist, shock)
     payoffs = _batch_payoffs(cands, opp, dist, nu, shock)
     return cands[_best_candidate(payoffs)].copy()
 
@@ -257,13 +414,17 @@ def best_response_dynamics(start, dist: VoterDistribution, nu: ReducedPayoff, sh
     A party already best-responding stays put; the walk stops once both
     parties pass in turn. Started from a local equilibrium of a symmetric
     electorate, the platform distance never falls below its starting value
-    and the walk terminates in a Nash equilibrium.
+    and the walk terminates in a Nash equilibrium. Both starting platforms,
+    and every platform a move picks, must satisfy ``best_response``'s shock
+    support condition as opponents; otherwise raises ``PreconditionError``.
     """
     pair = as_pair(start)
     if pair.dimension != dist.dimension:
         raise DimensionError("starting platforms dimension mismatch")
     symmetric = is_symmetric(dist)
     cands = candidate_platforms(dist, nu, cap)
+    _require_in_support(pair.x_a, dist, shock)
+    _require_in_support(pair.x_b, dist, shock)
     traj = [pair]
     sq = [pair.sq_distance]
     stale = 0
@@ -279,6 +440,7 @@ def best_response_dynamics(start, dist: VoterDistribution, nu: ReducedPayoff, sh
         else:
             stale = 0
             chosen = cands[_best_candidate(payoffs)]
+            _require_in_support(chosen, dist, shock)
             pair = PlatformPair(chosen, opp) if mover_is_a else PlatformPair(opp, chosen)
         traj.append(pair)
         sq.append(pair.sq_distance)

@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and instance generators."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -147,10 +148,59 @@ def oracle_local_equilibria(dist, nu, shock):
     return found
 
 
-def oracle_candidates(dist, nu):
-    """Every ranking's high then low platform, stacked in lexicographic order."""
-    return np.vstack([side for _, high, low in oracle_ranking_platforms(dist, nu)
-                      for side in (high, low)])
+def oracle_candidates(dist, nu, rankings=None):
+    """Every ranking's high then low platform, stacked in lexicographic order.
+
+    With ``rankings`` (a set of tuples), only those rankings contribute.
+    """
+    return np.vstack([side for perm, high, low in oracle_ranking_platforms(dist, nu)
+                      if rankings is None or perm in rankings for side in (high, low)])
+
+
+def _strictly_feasible(rows):
+    """Whether some d has a·d > 0 for every row a (lists of Fractions), exactly.
+
+    Fourier–Motzkin elimination, one coordinate at a time: a positive and a
+    negative coefficient combine with positive multipliers, and a variable
+    with one sign only can always be chosen to satisfy its rows. The system
+    is infeasible exactly when a row becomes all zeros (Gordan's
+    alternative).
+    """
+    while rows:
+        if any(not any(a) for a in rows):
+            return False
+        pos = [a for a in rows if a[-1] > 0]
+        neg = [a for a in rows if a[-1] < 0]
+        rows = [a[:-1] for a in rows if a[-1] == 0]
+        if pos and neg:
+            rows += [[-q[-1] * pi + p[-1] * qi for pi, qi in zip(p[:-1], q[:-1])]
+                     for p in pos for q in neg]
+    return True
+
+
+def oracle_realizable_rankings(dist):
+    """Set of rankings (ascending x·d) that some direction d realizes, in exact arithmetic.
+
+    Depth-first over prefixes on the float bliss points taken as exact
+    rationals; a prefix no direction realizes is pruned with all its
+    extensions.
+    """
+    pts = [[Fraction(float(v)) for v in row] for row in dist.bliss]
+    found = set()
+
+    def extend(prefix, rows):
+        if len(prefix) == dist.n_types:
+            found.add(tuple(prefix))
+            return
+        for t in range(dist.n_types):
+            if t in prefix:
+                continue
+            new = rows + [[b - a for a, b in zip(pts[prefix[-1]], pts[t])]] if prefix else rows
+            if _strictly_feasible(new):
+                extend(prefix + [t], new)
+
+    extend([], [])
+    return found
 
 
 def oracle_duplicate_pair(bliss):

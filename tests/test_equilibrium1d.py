@@ -425,10 +425,12 @@ class TestStoredSolve:
         single = pc.VoterDistribution([0.3], [1.0])
         for dist in (two_type, single):
             eq = pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
-            for a in (eq.weights_low, eq.weights_high, eq.order):
+            for a in (eq.weights_low, eq.weights_high, eq.order, eq.position):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = a[0]
+            assert eq.position.tolist() == [int(np.flatnonzero(eq.order == i)[0])
+                                            for i in range(dist.n_types)]
 
     def test_entry_freed_with_electorate(self, nu_quadratic, unit_shock):
         gc.collect()

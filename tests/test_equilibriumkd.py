@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from polcomp.errors import DimensionError, PreconditionError
 
 from helpers import (
     central_difference,
+    fresh_solve,
     oracle_candidates,
     oracle_is_symmetric,
     oracle_local_equilibria,
+    oracle_realizable_rankings,
     outward_directional_spread,
     random_symmetric_instance,
     shock_for,
@@ -78,6 +82,62 @@ def mirrored_electorates(draw):
         shares[j] -= step
     assume(len(np.unique(pts, axis=0)) == n)
     return pc.VoterDistribution(pts, shares)
+
+
+@st.composite
+def grid_electorates(draw):
+    """5 to 7 types in K in {1, 2, 3} on a grid of step 1/4 or 1/64.
+
+    Grid differences are integer vectors with entries up to 128, so every
+    sine the flags test is zero or an integer determinant over norms below
+    222 each, at least about 1e-7, far above ``FLAG_TOL``: every cell is one
+    the flags resolve. (Cells narrower than ``FLAG_TOL``, which unconstrained
+    floats can make, are merged by design.)
+    """
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(eqkd._FEW_TYPES + 1, 7))
+    step = draw(st.sampled_from([4, 64]))
+    coord = st.integers(-step, step).map(lambda v: v / step)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n, unique=True))
+    return pc.VoterDistribution(np.array(points), np.full(n, 1.0 / n))
+
+
+@st.composite
+def symmetric_grid_electorates(draw):
+    """Exact mirror pairs on a quarter grid, maybe with a centre type: hyperplanes coincide."""
+    dim = draw(st.integers(1, 3))
+    cell = st.integers(-4, 4).map(lambda v: v / 4.0)
+    center = np.array(draw(st.tuples(*[cell] * dim)))
+    offsets = np.array(draw(st.lists(st.tuples(*[cell] * dim), min_size=2, max_size=3)))
+    pts = np.vstack([center + offsets, center - offsets]
+                    + ([center[None, :]] if draw(st.booleans()) else []))
+    assume(len(np.unique(pts, axis=0)) == len(pts))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(offsets), max_size=len(offsets)))
+    weights = np.array(weights * 2 + [2] * (len(pts) - 2 * len(offsets)), dtype=float)
+    return pc.VoterDistribution(pts, weights / weights.sum())
+
+
+def _table_rankings(dist):
+    """The rankings whose candidates the table holds: every permutation for few types."""
+    return None if dist.n_types <= eqkd._FEW_TYPES else oracle_realizable_rankings(dist)
+
+
+def _on_permutation_rows(fn, dist, *args):
+    """``fn`` on a copy of ``dist`` whose ranking table has all n! permutations as rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eqkd, "_realizable_rankings", lambda bliss: eqkd._permutations(len(bliss)))
+        return fresh_solve(fn, dist, *args)
+
+
+def _kd_results(dist, nu, shock, opponents):
+    """Inventory, best responses and a 12-step walk, as comparable bytes."""
+    found = _inventory_rows(pc.enumerate_local_equilibria(dist, nu, shock))
+    responses = [pc.best_response(opp, dist, nu, shock).tobytes() for opp in opponents]
+    walk = pc.best_response_dynamics(pc.PlatformPair(opponents[0], opponents[1]), dist, nu,
+                                     shock, max_iters=12)
+    steps = [(p.x_a.tobytes(), p.x_b.tobytes()) for p in walk.trajectory]
+    return ([(r, a.tobytes(), b.tobytes(), sq, v) for r, a, b, sq, v in found],
+            responses, steps, walk.converged)
 
 
 def _inventory_rows(found):
@@ -201,16 +261,49 @@ class TestEnumeration:
 
 
 class TestBestResponse:
-    def test_two_type_hand_value(self, two_type_2d, nu_quadratic, unit_shock):
-        br = pc.best_response([0.25, 0.25], two_type_2d, nu_quadratic, unit_shock)
+    def test_two_type_hand_value(self, two_type_2d, nu_quadratic):
+        # Shock(2.0) covers the gaps: 1.125 <= 2 and 0.125 - 2 >= -2
+        br = pc.best_response([0.25, 0.25], two_type_2d, nu_quadratic, pc.Shock(2.0))
         assert np.allclose(br, [0.75, 0.75], atol=1e-12)
 
+    def test_two_type_hand_value_outside_support(self, two_type_2d, nu_quadratic, unit_shock):
+        # the far type sits 1.125 from the opponent, beyond the unit half-width
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response([0.25, 0.25], two_type_2d, nu_quadratic, unit_shock)
+
+    def test_rejects_opponent_leaving_support(self, nu_quadratic):
+        # at this opponent the old answer (-0.2385, 0.0448) was beaten by (-0.26, 0.01)
+        pts = np.array([[0.01, -0.29], [0.11, 0.49], [-0.57, 0.62], [-0.68, -0.16]])
+        dist = pc.VoterDistribution(pts, [0.336, 0.164, 0.336, 0.164])
+        shock = pc.Shock(2.5)
+        assert pc.check_shock_support(dist, shock).ok
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response([0.8, -0.7], dist, nu_quadratic, shock)
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response_dynamics(pc.PlatformPair([0.0, 0.0], [0.8, -0.7]),
+                                      dist, nu_quadratic, shock)
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response_dynamics(pc.PlatformPair([0.8, -0.7], [0.0, 0.0]),
+                                      dist, nu_quadratic, shock)
+
+    def test_support_condition_is_tight(self, two_type_2d, nu_quadratic):
+        # the lower bound 0.125 - 2 >= -h holds with equality at Shock(1.875)
+        pc.best_response([0.25, 0.25], two_type_2d, nu_quadratic, pc.Shock(1.875))
+        with pytest.raises(PreconditionError):
+            pc.best_response([0.25, 0.25], two_type_2d, nu_quadratic, pc.Shock(1.87))
+
     def test_stays_in_hull_against_far_opponent(self, crafted_4type, nu_quadratic):
-        shock = shock_for(crafted_4type, margin=600.0)
+        # the opponent's largest squared distance to a type is about 748
+        shock = shock_for(crafted_4type, margin=800.0)
         br = pc.best_response([15.0, -22.0], crafted_4type, nu_quadratic, shock)
         lo = crafted_4type.bliss.min(axis=0)
         hi = crafted_4type.bliss.max(axis=0)
         assert np.all(br >= lo - 1e-9) and np.all(br <= hi + 1e-9)
+
+    def test_far_opponent_outside_support(self, crafted_4type, nu_quadratic):
+        shock = shock_for(crafted_4type, margin=600.0)
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response([15.0, -22.0], crafted_4type, nu_quadratic, shock)
 
     def test_fixed_point_at_preferred(self, crafted_4type, nu_quadratic):
         shock = shock_for(crafted_4type)
@@ -258,7 +351,8 @@ class TestRankingTable:
         for g, w in zip(got, want):
             assert np.array_equal(g[1], w[1]) and np.array_equal(g[2], w[2])
             assert g[3] == w[3] and g[4] == w[4]
-        assert np.array_equal(eqkd.candidate_platforms(dist, nu), oracle_candidates(dist, nu))
+        assert np.array_equal(eqkd.candidate_platforms(dist, nu),
+                              oracle_candidates(dist, nu, _table_rankings(dist)))
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dist=small_electorates(max_types=5))
@@ -273,7 +367,8 @@ class TestRankingTable:
             assert np.allclose(g[2], w[2], rtol=0.0, atol=1e-12)
             assert g[3] == pytest.approx(w[3], rel=0.0, abs=1e-12)
             assert g[4] == pytest.approx(w[4], rel=0.0, abs=1e-12)
-        assert np.allclose(eqkd.candidate_platforms(dist, nu), oracle_candidates(dist, nu),
+        assert np.allclose(eqkd.candidate_platforms(dist, nu),
+                           oracle_candidates(dist, nu, _table_rankings(dist)),
                            rtol=0.0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -293,8 +388,8 @@ class TestRankingTable:
 
     def test_single_ranking_matches_table_row(self, crafted_4type, nu_quadratic):
         cands = eqkd.candidate_platforms(crafted_4type, nu_quadratic)
-        pair = pc.platforms_for_ranking((2, 0, 3, 1), crafted_4type, nu_quadratic)
-        row = 2 * list(eqkd._permutations(4).tolist()).index([2, 0, 3, 1])
+        pair = pc.platforms_for_ranking((2, 0, 1, 3), crafted_4type, nu_quadratic)
+        row = 2 * eqkd._realizable_rankings(crafted_4type.bliss).tolist().index([2, 0, 1, 3])
         assert np.array_equal(pair.x_a, cands[row]) and np.array_equal(pair.x_b, cands[row + 1])
 
     def test_permutations_are_lexicographic_and_read_only(self):
@@ -328,6 +423,155 @@ class TestRankingTable:
         with pytest.raises(PreconditionError) as exc:
             pc.best_response(dist.bliss[0], dist, nu_quadratic, shock)
         assert str(exc.value) == "9 types exceed the factorial cap 8"
+
+
+class TestRealizableRows:
+    """Rows from flags of the hyperplane arrangement against exact and n! oracles."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dist=grid_electorates())
+    def test_contain_every_realizable_ranking(self, dist):
+        rows = {tuple(r) for r in eqkd._realizable_rankings(dist.bliss).tolist()}
+        assert rows >= oracle_realizable_rankings(dist)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dist=symmetric_grid_electorates())
+    def test_coincident_hyperplanes(self, dist):
+        rows = {tuple(r) for r in eqkd._realizable_rankings(dist.bliss).tolist()}
+        assert rows >= oracle_realizable_rankings(dist)
+
+    def test_rows_sorted_unique_and_read_only(self):
+        dist = random_symmetric_instance(np.random.default_rng(41), n_pairs=3, dim=3,
+                                         center_type=True)
+        rows = eqkd._realizable_rankings(dist.bliss)
+        listed = [tuple(r) for r in rows.tolist()]
+        assert listed == sorted(set(listed))
+        assert not rows.flags.writeable
+        assert len(rows) < 5040
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(dist=small_electorates(max_types=8),
+           preset=st.sampled_from(["quadratic", "sqrt-sharing"]), data=st.data())
+    def test_results_match_permutation_rows(self, dist, preset, data):
+        nu = pc.payoff_preset(preset)
+        shock = shock_for(dist)
+        weights = st.lists(st.integers(0, 4), min_size=dist.n_types, max_size=dist.n_types)
+        opponents = []
+        for _ in range(3):
+            w = np.array(data.draw(weights), dtype=float) + 0.5
+            opponents.append(w @ dist.bliss / w.sum())   # inside the hull, so in the support
+        assert (_kd_results(dist, nu, shock, opponents)
+                == _on_permutation_rows(_kd_results, dist, nu, shock, opponents))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eight_symmetric_types_match_permutation_rows(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        dist = random_symmetric_instance(rng, n_pairs=4, dim=dim)
+        nu = pc.payoff_preset("quadratic")
+        shock = shock_for(dist)
+        opponents = [rng.dirichlet(np.ones(8)) @ dist.bliss for _ in range(3)]
+        assert (_kd_results(dist, nu, shock, opponents)
+                == _on_permutation_rows(_kd_results, dist, nu, shock, opponents))
+
+    @pytest.mark.parametrize("n_types", [5, 6])
+    def test_four_dimensions_use_permutations(self, n_types, nu_quadratic):
+        rng = np.random.default_rng(60 + n_types)
+        dist = pc.VoterDistribution(rng.uniform(-1.0, 1.0, (n_types, 4)),
+                                    np.full(n_types, 1.0 / n_types))
+        assert eqkd._realizable_rankings(dist.bliss) is eqkd._permutations(n_types)
+        shock = shock_for(dist)
+        got = _inventory_rows(pc.enumerate_local_equilibria(dist, nu_quadratic, shock))
+        want = oracle_local_equilibria(dist, nu_quadratic, shock)
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g[1], w[1]) and np.array_equal(g[2], w[2])
+            assert g[3] == w[3] and g[4] == w[4]
+
+    def test_intransitive_ties_fall_back_to_permutations(self):
+        # along the y axis (a flag of the two exact normals of types 1, 3 and 1, 4), type 0
+        # ties with types 1 and 2 and is ordered between them by x, while 1 and 2 do not
+        # tie and order the other way
+        pts = np.array([[0.0, 1e-8, 100.0], [1.0, 0.0, 0.0], [-1.0, 2e-8, 0.0],
+                        [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
+        assert eqkd._realizable_rankings(pts) is eqkd._permutations(5)
+
+    def test_collinear_points_in_three_dimensions(self):
+        # rank 1: the only realizable rankings are the line order and its reverse
+        pts = np.outer([0.0, 0.5, -1.0, 2.0, 1.5], [1.0, -2.0, 0.5])
+        assert eqkd._realizable_rankings(pts).tolist() == [[2, 0, 1, 4, 3], [3, 4, 1, 0, 2]]
+
+    def test_few_types_use_permutations(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0], [-0.5, 0.4]])
+        assert eqkd._realizable_rankings(pts) is eqkd._permutations(4)
+
+
+class TestStoredTable:
+    """One ranking table per live electorate, rows shared across payoffs."""
+
+    @pytest.fixture
+    def row_builds(self, monkeypatch):
+        calls = []
+        real = eqkd._realizable_rankings
+
+        def counting(bliss):
+            calls.append(1)
+            return real(bliss)
+
+        monkeypatch.setattr(eqkd, "_realizable_rankings", counting)
+        return calls
+
+    def test_rows_built_once_per_op(self, row_builds, nu_quadratic):
+        dist = random_symmetric_instance(np.random.default_rng(42), n_pairs=3, dim=2)
+        shock = shock_for(dist)
+        rep = pc.party_preferred_equilibria(dist, nu_quadratic, shock)
+        for eq in rep.party_preferred:
+            pc.best_response(eq.pair.x_b, dist, nu_quadratic, shock)
+            pc.best_response(eq.pair.x_a, dist, nu_quadratic, shock)
+        start = min(rep.inventory, key=lambda e: e.sq_distance)
+        pc.best_response_dynamics(start.pair, dist, nu_quadratic, shock)
+        assert len(row_builds) == 1
+        assert len(eqkd._TABLES[dist][0]) < 720
+
+    def test_same_payoff_reuses_table(self, row_builds, crafted_4type, nu_quadratic):
+        first = eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP)
+        again = eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP)
+        assert all(a is b for a, b in zip(first, again))
+        assert len(row_builds) == 1
+
+    def test_new_payoff_reuses_rows(self, row_builds, crafted_4type):
+        shock = shock_for(crafted_4type)
+        pc.enumerate_local_equilibria(crafted_4type, pc.payoff_preset("quadratic"), shock)
+        rows = eqkd._TABLES[crafted_4type][0]
+        other = pc.payoff_preset("sqrt-sharing")
+        cands = eqkd.candidate_platforms(crafted_4type, other)
+        assert len(row_builds) == 1
+        assert eqkd._TABLES[crafted_4type][0] is rows
+        assert eqkd._TABLES[crafted_4type][1] is other
+        assert np.array_equal(cands, fresh_solve(eqkd.candidate_platforms, crafted_4type, other))
+
+    def test_cap_checked_before_lookup(self, crafted_4type, nu_quadratic):
+        eqkd.candidate_platforms(crafted_4type, nu_quadratic)
+        with pytest.raises(PreconditionError, match="factorial cap 3"):
+            eqkd.candidate_platforms(crafted_4type, nu_quadratic, cap=3)
+
+    def test_arrays_read_only(self, crafted_4type, nu_quadratic):
+        for a in eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        assert eqkd.candidate_platforms(crafted_4type, nu_quadratic).flags.writeable
+
+    def test_entry_freed_with_electorate(self, nu_quadratic):
+        gc.collect()
+        before = len(eqkd._TABLES)
+        dist = pc.VoterDistribution([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]], [0.3, 0.3, 0.4])
+        eqkd.candidate_platforms(dist, nu_quadratic)
+        assert len(eqkd._TABLES) == before + 1
+        ref = weakref.ref(dist)
+        del dist
+        gc.collect()
+        assert ref() is None
+        assert len(eqkd._TABLES) == before
 
 
 class TestBatchPayoffs:
@@ -397,12 +641,27 @@ class TestDynamics:
 
     def test_arbitrary_start_reaches_fixed_point(self, crafted_4type, nu_quadratic):
         shock = shock_for(crafted_4type)
-        res = pc.best_response_dynamics(pc.PlatformPair([2.0, 2.0], [-3.0, 1.0]),
+        res = pc.best_response_dynamics(pc.PlatformPair([0.6, 0.6], [-0.7, 0.1]),
                                         crafted_4type, nu_quadratic, shock)
-        assert res.converged
+        assert res.converged and len(res.trajectory) > 3
         terminal = res.trajectory[-1]
         br_a = pc.best_response(terminal.x_b, crafted_4type, nu_quadratic, shock)
         assert np.allclose(br_a, terminal.x_a, atol=1e-9)
+
+    def test_far_start_outside_support(self, crafted_4type, nu_quadratic):
+        # [-3, 1] sits 16.2 from the farthest type, beyond the half-width of about 7.0
+        shock = shock_for(crafted_4type)
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response_dynamics(pc.PlatformPair([2.0, 2.0], [-3.0, 1.0]),
+                                      crafted_4type, nu_quadratic, shock)
+
+    def test_move_leaving_support_raises(self, nu_quadratic):
+        # the start (0, 0) is inside Shock(3): 1 <= 3 and 1 - 4 >= -3; A's move to
+        # +-0.5 is not, as an opponent: 0.25 - 4 < -3
+        d = pc.VoterDistribution([[-1.0], [1.0]], [0.5, 0.5])
+        with pytest.raises(PreconditionError, match="shock support"):
+            pc.best_response_dynamics(pc.PlatformPair([0.0], [0.0]), d, nu_quadratic,
+                                      pc.Shock(3.0))
 
     def test_asymmetric_flagged(self, nu_quadratic):
         d = pc.VoterDistribution([[0.0, 0.0], [1.0, 1.0]], [0.6, 0.4])
