@@ -36,7 +36,8 @@ from .model import (
     Shock,
     VoterDistribution,
     distance_payoff,
-    expected_payoff,
+    unit_clamp,
+    vote_share_lottery,
 )
 from .payoffs import proportional_power
 
@@ -51,6 +52,12 @@ class Equilibrium1D:
     positions back to the caller's type indices. ``diverse`` is False only
     for the degenerate single-type electorate, where both platforms sit on
     the unique bliss point.
+
+    ``lottery`` is party A's vote-share lottery at ``pair``, the read-only
+    ``(shares, probabilities)`` of ``vote_share_lottery``. A checked solve
+    integrates the payoff identity from it and keeps it, so callers that
+    need the same lottery (``welfare.premium_sweep``) do not build it again.
+    It is None on a record from ``check=False``.
     """
 
     x_low: float
@@ -62,6 +69,7 @@ class Equilibrium1D:
     median: float
     order: np.ndarray
     diverse: bool = True
+    lottery = None          # not a field: set once by a checked solve
 
     def __post_init__(self):
         # one record may be handed to many callers (see equilibrium_1d)
@@ -126,9 +134,8 @@ def risk_neutral_benchmark(dist: VoterDistribution, power) -> float:
     order = dist.ascending_order()
     x = dist.bliss[order, 0]
     heads = np.concatenate(([0.0], np.cumsum(dist.shares[order])))
-    heads = np.clip(heads, 0.0, 1.0)
-    rho = np.asarray(power.evaluate(heads), dtype=float)
-    weights = np.diff(rho) / power.total
+    rho = np.asarray(power.evaluate(unit_clamp(heads)), dtype=float)
+    weights = (rho[1:] - rho[:-1]) / power.total
     return float(weights @ x)
 
 
@@ -139,8 +146,8 @@ def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
     types to its right (tail shares). Low-side weight mirrors with head
     shares. Tail shares accumulate backwards to limit cancellation.
     """
-    tails = np.concatenate((np.clip(np.cumsum(shares_sorted[::-1])[::-1], 0.0, 1.0), [0.0]))
-    heads = np.concatenate(([0.0], np.clip(np.cumsum(shares_sorted), 0.0, 1.0)))
+    tails = np.concatenate((unit_clamp(np.cumsum(shares_sorted[::-1])[::-1]), [0.0]))
+    heads = np.concatenate(([0.0], unit_clamp(np.cumsum(shares_sorted))))
     nu_tails = np.asarray(nu.evaluate(tails), dtype=float)
     nu_heads = np.asarray(nu.evaluate(heads), dtype=float)
     w_high = nu_tails[:-1] - nu_tails[1:]
@@ -192,26 +199,31 @@ def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     if dist.n_types == 1:
         x = float(dist.bliss[0, 0])
         one = np.array([1.0])
-        return Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
-                             payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
-                             order=np.array([0]), diverse=False)
-
-    order = dist.ascending_order()
-    x = dist.bliss[order, 0]
-    w_low, w_high = equilibrium_weights(dist.shares[order], nu)
-    x_low = float(w_low @ x)
-    x_high = float(w_high @ x)
-    median, _ = median_bliss(dist)
-    x_rn = risk_neutral_benchmark(dist, power)
-    eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
-                       payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
-                       x_risk_neutral=x_rn, median=median, order=order)
+        eq = Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
+                           payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
+                           order=np.array([0]), diverse=False)
+    else:
+        order = dist.ascending_order()
+        x = dist.bliss[order, 0]
+        w_low, w_high = equilibrium_weights(dist.shares[order], nu)
+        x_low = float(w_low @ x)
+        x_high = float(w_high @ x)
+        median, _ = median_bliss(dist)
+        x_rn = risk_neutral_benchmark(dist, power)
+        eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
+                           payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
+                           x_risk_neutral=x_rn, median=median, order=order)
     if check:
-        _verify_equilibrium(eq, dist, nu, shock, x)
+        lottery = vote_share_lottery(dist, shock, eq.pair)
+        for a in lottery:
+            a.setflags(write=False)
+        if eq.diverse:
+            _verify_equilibrium(eq, nu, x, lottery)
+        object.__setattr__(eq, "lottery", lottery)
     return eq
 
 
-def _verify_equilibrium(eq: Equilibrium1D, dist, nu, shock, x_sorted):
+def _verify_equilibrium(eq: Equilibrium1D, nu, x_sorted, lottery):
     for w in (eq.weights_low, eq.weights_high):
         if np.any(w <= 0.0) or np.any(w >= 1.0):
             raise PreconditionError(
@@ -228,7 +240,8 @@ def _verify_equilibrium(eq: Equilibrium1D, dist, nu, shock, x_sorted):
     if not (eq.x_low < eq.x_risk_neutral + _STRICT_TOL
             and eq.x_risk_neutral < eq.x_high + _STRICT_TOL):
         raise InternalConsistencyError("platforms do not bracket the risk-neutral benchmark")
-    direct = expected_payoff(dist, nu, shock, eq.pair, "A")
+    shares, probs = lottery
+    direct = float(np.dot(nu.evaluate(shares), probs))     # as expected_payoff(..., "A")
     if abs(direct - eq.payoff) > 1e-10:
         raise InternalConsistencyError(
             f"payoff identity {eq.payoff:.17g} disagrees with exact integrator {direct:.17g}; "

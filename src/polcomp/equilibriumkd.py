@@ -480,13 +480,25 @@ def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     return NashReport(party_preferred=best, max_sq_distance=max_sq, inventory=tuple(inventory))
 
 
+# Symmetry verdict of each live electorate, weak-keyed like ``_TABLES``.
+_SYMMETRIC = weakref.WeakKeyDictionary()
+
+
 def is_symmetric(dist: VoterDistribution) -> bool:
     """Whether every type has a mirror image through the mean bliss point.
 
     Types pair greedily in index order, each with the lowest-index unpaired
     type (itself included) within ``SYMMETRY_TOL`` of its mirror image in
-    every coordinate and in share.
+    every coordinate and in share. The verdict is worked out once per
+    electorate, which relies on ``VoterDistribution`` being immutable.
     """
+    verdict = _SYMMETRIC.get(dist)
+    if verdict is None:
+        verdict = _SYMMETRIC[dist] = _mirror_paired(dist)
+    return verdict
+
+
+def _mirror_paired(dist: VoterDistribution) -> bool:
     targets = 2.0 * dist.mean_bliss() - dist.bliss
     unused = np.ones(dist.n_types, dtype=bool)
     for i in range(dist.n_types):

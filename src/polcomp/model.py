@@ -13,6 +13,7 @@ All objects are immutable after construction and all functions are pure;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,16 @@ class VoterDistribution:
         return VoterDistribution(self.bliss + off, self.shares, self.labels)
 
     def ascending_order(self) -> np.ndarray:
+        """Type indices in ascending bliss order (stable); sorted once, read-only."""
         if self.dimension != 1:
             raise DimensionError("ascending_order requires a one-dimensional electorate")
-        return np.argsort(self.bliss[:, 0], kind="stable")
+        return self._ascending_order
+
+    @functools.cached_property
+    def _ascending_order(self) -> np.ndarray:
+        order = np.argsort(self.bliss[:, 0], kind="stable")
+        order.setflags(write=False)
+        return order
 
     def mean_bliss(self) -> np.ndarray:
         return self.shares @ self.bliss
@@ -168,6 +176,15 @@ _GRID = np.linspace(0.0, 1.0, 1001)
 _FD_STEP = 1e-4
 
 
+def unit_clamp(share):
+    """Shares clamped to [0, 1], as ``np.clip(share, 0.0, 1.0)`` but without its call overhead.
+
+    The argument order keeps np.clip's results bit for bit: -0.0 stays -0.0
+    and NaN stays NaN.
+    """
+    return np.minimum(np.maximum(0.0, np.asarray(share, dtype=float)), 1.0)
+
+
 class PowerMap:
     """Mapping from vote share to political power.
 
@@ -191,8 +208,7 @@ class PowerMap:
         vals = self.evaluate(_GRID)
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("power map must be finite on the validation grid")
-        diffs = np.diff(vals)
-        if np.any(diffs <= 0.0):
+        if np.any(vals[1:] - vals[:-1] <= 0.0):
             raise PreconditionError("power map must be strictly increasing in vote share")
         csum = vals + vals[::-1]
         if np.max(np.abs(csum - self.total)) > 1e-10:
@@ -201,7 +217,7 @@ class PowerMap:
             raise PreconditionError("power map must take values in [0, total]")
 
     def evaluate(self, share):
-        s = np.clip(np.asarray(share, dtype=float), 0.0, 1.0)
+        s = unit_clamp(share)
         out = np.asarray(self._func(s), dtype=float)
         return out if out.shape else float(out)
 
@@ -280,7 +296,7 @@ class ReducedPayoff:
         vals = self.evaluate(_GRID)
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("reduced payoff must be finite on the validation grid")
-        diffs = np.diff(vals)
+        diffs = vals[1:] - vals[:-1]
         if assume_monotone:
             # strictness already guaranteed by the validated factors; the grid
             # only guards against float-level decreases (values can plateau
@@ -312,7 +328,7 @@ class ReducedPayoff:
         half = vals[: len(_GRID) // 2 + 1]          # grid points in [0, 0.5]
         mirror = vals[len(_GRID) // 2:][::-1]        # nu(1 - s) on the same points
         gain = half + mirror
-        interior = np.diff(gain[:-1])                # pairs strictly below 0.5
+        interior = gain[1:-1] - gain[:-2]            # pairs strictly below 0.5
         self.minority_gain_strict = bool(np.all(interior > 0.0))
         if self.has_jump:
             s_last = _GRID[len(_GRID) // 2 - 1]
@@ -336,7 +352,7 @@ class ReducedPayoff:
         return abs(self.span - 1.0) <= 1e-12
 
     def evaluate(self, share):
-        s = np.clip(np.asarray(share, dtype=float), 0.0, 1.0)
+        s = unit_clamp(share)
         out = (np.asarray(self._func(s), dtype=float) - self._offset) / self._scale
         return out if out.shape else float(out)
 

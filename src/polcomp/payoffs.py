@@ -130,9 +130,13 @@ def majority_premium_power(total: float, premium: float) -> PowerMap:
     slope = total - premium
 
     def rho(share):
+        # total / 2 where share is one half or NaN, as neither comparison holds
         s = np.asarray(share, dtype=float)
-        return np.where(s < 0.5, slope * s,
-                        np.where(s > 0.5, slope * s + premium, total / 2.0))
+        out = np.full(s.shape, total / 2.0)
+        v = slope * s
+        np.copyto(out, v, where=s < 0.5)
+        np.add(v, premium, out=out, where=s > 0.5)
+        return out
 
     return PowerMap(total, rho, jump=premium,
                     half_lower=slope * 0.5, half_upper=slope * 0.5 + premium,

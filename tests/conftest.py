@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import polcomp as pc
+
+# Every property test runs the same examples on every run, with no per-example
+# time limit (the first call of a kind may build a table); tests set only
+# max_examples.
+settings.register_profile("polcomp", deadline=None, derandomize=True)
+settings.load_profile("polcomp")
 
 
 @pytest.fixture

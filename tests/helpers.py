@@ -273,3 +273,26 @@ def fresh_solve(fn, dist, *args):
     """``fn`` on a new copy of ``dist``, which has no stored solve: every call solves anew."""
     copy = pc.VoterDistribution(dist.bliss.copy(), dist.shares.copy(), dist.labels)
     return fn(copy, *args)
+
+
+def oracle_policy_merge(outcomes, probabilities):
+    """``(outcomes, probabilities)`` merged by the one-outcome-at-a-time loop.
+
+    Stable sort, then each outcome within 1e-12 of its block's first outcome
+    joins that block and adds its probability to a running sum.
+    """
+    merged_x, merged_p = [], []
+    for i in np.argsort(outcomes, kind="stable"):
+        if merged_x and abs(outcomes[i] - merged_x[-1]) <= 1e-12:
+            merged_p[-1] += probabilities[i]
+        else:
+            merged_x.append(float(outcomes[i]))
+            merged_p.append(float(probabilities[i]))
+    return np.array(merged_x), np.array(merged_p)
+
+
+def oracle_direct_welfare(lottery, dist):
+    """Expected welfare of a policy lottery, one outcome at a time."""
+    x = dist.bliss[:, 0]
+    return float(sum(p * -(dist.shares @ (xi - x) ** 2)
+                     for xi, p in zip(lottery.outcomes, lottery.probabilities)))

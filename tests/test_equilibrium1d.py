@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -115,7 +116,7 @@ class TestBenchmarkAndMedian:
         median, _ = pc.median_bliss(pc.VoterDistribution(bliss, shares))
         assert median == pytest.approx(expected, abs=1e-15)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(dist=integer_weight_electorates(), data=st.data())
     def test_median_rules_match_oracles(self, dist, data):
         median, index = pc.median_bliss(dist)
@@ -284,7 +285,7 @@ class TestSpread:
         with pytest.raises(DimensionError):
             pc.is_spread(two_type_2d, two_type_2d)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_fosd_matches_mask_oracle(self, data):
         # quarter-grid values nudged by multiples of half the tolerance, so
@@ -432,6 +433,20 @@ class TestStoredSolve:
             assert eq.position.tolist() == [int(np.flatnonzero(eq.order == i)[0])
                                             for i in range(dist.n_types)]
 
+    def test_checked_record_keeps_its_lottery(self, two_type, nu_quadratic, unit_shock):
+        single = pc.VoterDistribution([0.3], [1.0])
+        for dist in (two_type, single):
+            eq = pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
+            want = pc.vote_share_lottery(dist, unit_shock, eq.pair)
+            for a, b in zip(eq.lottery, want):
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            exact = pc.expected_payoff(dist, nu_quadratic, unit_shock, eq.pair, "A")
+            assert abs(exact - eq.payoff) <= 1e-10
+        raw = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock, check=False)
+        assert raw.lottery is None
+        assert "lottery" not in [f.name for f in dataclasses.fields(eq)]
+
     def test_entry_freed_with_electorate(self, nu_quadratic, unit_shock):
         gc.collect()
         before = len(eq1d._SOLVED)
@@ -444,7 +459,7 @@ class TestStoredSolve:
         assert ref() is None
         assert len(eq1d._SOLVED) == before
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(dist=integer_weight_electorates(), data=st.data())
     def test_per_type_bits_match_fresh_solves(self, dist, data):
         # alternate payoffs and shock widths so the stored solve keeps being replaced

@@ -340,7 +340,7 @@ class TestPlacementLinearKd:
 class TestRankingTable:
     """The batched ranking table against the per-permutation oracle."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(dist=small_electorates(), preset=st.sampled_from(["quadratic", "sqrt-sharing"]))
     def test_matches_oracle_bit_for_bit(self, dist, preset):
         nu = pc.payoff_preset(preset)
@@ -354,7 +354,7 @@ class TestRankingTable:
         assert np.array_equal(eqkd.candidate_platforms(dist, nu),
                               oracle_candidates(dist, nu, _table_rankings(dist)))
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=10)
     @given(dist=small_electorates(max_types=5))
     def test_placement_linear_matches_oracle(self, dist):
         nu = pc.payoff_preset("placement-linear")
@@ -371,7 +371,7 @@ class TestRankingTable:
                            oracle_candidates(dist, nu, _table_rankings(dist)),
                            rtol=0.0, atol=1e-12)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(dist=small_electorates(), data=st.data())
     def test_type_order_invariance(self, dist, data):
         nu = pc.payoff_preset("quadratic")
@@ -428,13 +428,13 @@ class TestRankingTable:
 class TestRealizableRows:
     """Rows from flags of the hyperplane arrangement against exact and n! oracles."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(dist=grid_electorates())
     def test_contain_every_realizable_ranking(self, dist):
         rows = {tuple(r) for r in eqkd._realizable_rankings(dist.bliss).tolist()}
         assert rows >= oracle_realizable_rankings(dist)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(dist=symmetric_grid_electorates())
     def test_coincident_hyperplanes(self, dist):
         rows = {tuple(r) for r in eqkd._realizable_rankings(dist.bliss).tolist()}
@@ -449,7 +449,7 @@ class TestRealizableRows:
         assert not rows.flags.writeable
         assert len(rows) < 5040
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(dist=small_electorates(max_types=8),
            preset=st.sampled_from(["quadratic", "sqrt-sharing"]), data=st.data())
     def test_results_match_permutation_rows(self, dist, preset, data):
@@ -710,7 +710,7 @@ class TestSymmetry:
         d = pc.VoterDistribution([[-1.0], [0.0], [1.0]], [0.3, 0.4, 0.3])
         assert pc.is_symmetric(d)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(dist=mirrored_electorates())
     def test_matches_pairwise_loop(self, dist):
         assert pc.is_symmetric(dist) == oracle_is_symmetric(dist)
@@ -725,6 +725,37 @@ class TestSymmetry:
                 rng.choice([-1.0, 1.0], size=3) * rng.choice([0.5e-9, 2e-9], size=3))
             d = pc.VoterDistribution(pts, np.full(len(pts), 1.0 / len(pts)))
             assert pc.is_symmetric(d) == oracle_is_symmetric(d)
+
+    def test_verdict_worked_out_once_per_op(self, nu_quadratic, monkeypatch):
+        calls = []
+        real = eqkd._mirror_paired
+
+        def counting(dist):
+            calls.append(1)
+            return real(dist)
+
+        monkeypatch.setattr(eqkd, "_mirror_paired", counting)
+        dist = random_symmetric_instance(np.random.default_rng(43), n_pairs=2, dim=2)
+        shock = shock_for(dist)
+        rep = pc.party_preferred_equilibria(dist, nu_quadratic, shock)
+        for eq in rep.party_preferred:
+            pc.best_response(eq.pair.x_b, dist, nu_quadratic, shock)
+            pc.best_response(eq.pair.x_a, dist, nu_quadratic, shock)
+        start = min(rep.inventory, key=lambda e: e.sq_distance)
+        assert pc.best_response_dynamics(start.pair, dist, nu_quadratic, shock).symmetric
+        assert len(calls) == 1
+
+    def test_verdict_freed_with_electorate(self):
+        gc.collect()
+        before = len(eqkd._SYMMETRIC)
+        dist = pc.VoterDistribution([[0.0, 0.0], [1.0, 0.5]], [0.6, 0.4])
+        assert not pc.is_symmetric(dist)
+        assert len(eqkd._SYMMETRIC) == before + 1
+        ref = weakref.ref(dist)
+        del dist
+        gc.collect()
+        assert ref() is None
+        assert len(eqkd._SYMMETRIC) == before
 
     def test_thousands_of_types(self):
         rng = np.random.default_rng(11)

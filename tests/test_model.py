@@ -3,7 +3,7 @@ import pytest
 
 import polcomp as pc
 from polcomp.errors import DimensionError, PreconditionError
-from polcomp.model import _first_duplicate_row, distance_payoff
+from polcomp.model import _first_duplicate_row, distance_payoff, unit_clamp
 
 from helpers import oracle_duplicate_pair, random_diverse_instance, shock_for
 
@@ -84,6 +84,74 @@ class TestVoterDistribution:
     def test_mean_bliss(self):
         d = pc.VoterDistribution([0.0, 1.0], [0.25, 0.75])
         assert d.mean_bliss()[0] == pytest.approx(0.75, abs=1e-15)
+
+
+class TestAscendingOrder:
+    def test_sorted_once_and_read_only(self, monkeypatch):
+        d = pc.VoterDistribution([0.4, -1.0, 2.0, 0.0], [0.25] * 4)
+        calls = []
+        real = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        first = d.ascending_order()
+        assert d.ascending_order() is first
+        assert pc.median_bliss(d) == (0.2, None)
+        assert len(calls) == 1
+        assert first.tolist() == [1, 3, 0, 2]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+
+    def test_requires_one_dimension(self, two_type_2d):
+        with pytest.raises(DimensionError):
+            two_type_2d.ascending_order()
+
+
+def _old_unit_clip(share):
+    return np.clip(np.asarray(share, dtype=float), 0.0, 1.0)
+
+
+_EDGE_SHARES = [-0.0, 0.0, -1.0, 2.0, 0.5, np.nan, 1e-300]
+
+
+def _same_bits(got, want):
+    """Equal values, NaN included, equal sign bits, equal shape and type."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestUnitClamp:
+    """``unit_clamp`` and the evaluators that use it keep ``np.clip``'s results bit for bit."""
+
+    def test_clamp_matches_clip(self):
+        assert _same_bits(unit_clamp(_EDGE_SHARES), _old_unit_clip(_EDGE_SHARES))
+        for v in _EDGE_SHARES:
+            assert _same_bits(unit_clamp(np.asarray(v)), _old_unit_clip(np.asarray(v)))
+            assert _same_bits(unit_clamp(v), _old_unit_clip(v))
+
+    def test_power_map_matches_clip(self):
+        pm = pc.PowerMap(1.0, lambda s: np.asarray(s, dtype=float))
+        arr = np.array(_EDGE_SHARES)
+        assert _same_bits(pm.evaluate(arr), _old_unit_clip(arr))
+        for v in _EDGE_SHARES:
+            assert _same_bits(pm.evaluate(np.asarray(v)), float(_old_unit_clip(v)))
+
+    def test_reduced_payoff_matches_clip(self):
+        func = lambda s: np.asarray(s, dtype=float) * 3.0 - 1.0     # noqa: E731
+        nu = pc.ReducedPayoff(func)
+        arr = np.array(_EDGE_SHARES)
+        old = (func(_old_unit_clip(arr)) - (-1.0)) / 3.0
+        assert _same_bits(nu.evaluate(arr), old)
+        for v in _EDGE_SHARES:
+            old = (func(_old_unit_clip(np.asarray(v))) - (-1.0)) / 3.0
+            assert _same_bits(nu.evaluate(np.asarray(v)), float(old))
+        raw = pc.ReducedPayoff(lambda s: np.asarray(s, dtype=float), normalize=False)
+        assert _same_bits(raw.evaluate(arr), _old_unit_clip(arr))
 
 
 class TestShock:

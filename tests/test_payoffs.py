@@ -90,6 +90,24 @@ class TestMajorityPremium:
         with pytest.raises(PreconditionError):
             pc.majority_premium_power(1.0, premium)
 
+    @pytest.mark.parametrize("total,premium", [(1.0, 0.0), (1.0, 0.3), (2.0, 1.0 - 1e-6)])
+    def test_rho_matches_nested_where(self, total, premium):
+        slope = total - premium
+
+        def nested(share):
+            s = np.asarray(share, dtype=float)
+            return np.where(s < 0.5, slope * s,
+                            np.where(s > 0.5, slope * s + premium, total / 2.0))
+
+        rho = pc.majority_premium_power(total, premium)._func
+        edges = [-0.0, 0.0, -1.0, 2.0, 0.5, np.nan, 1e-300]
+        grid = np.concatenate((edges, np.linspace(0.0, 1.0, 1001)))
+        for share in [grid] + [np.asarray(v) for v in edges]:
+            got, want = rho(share), nested(share)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_one_sided_limits(self):
         rho = pc.majority_premium_power(2.0, 1.0)
         assert rho.half_lower == pytest.approx(0.5)

@@ -1,10 +1,70 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
-from polcomp.errors import DimensionError, PreconditionError
+from polcomp import equilibrium1d as eq1d, model, welfare
+from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
-from helpers import random_diverse_instance, shock_for
+from helpers import (
+    oracle_direct_welfare,
+    oracle_policy_merge,
+    random_diverse_instance,
+    shock_for,
+)
+
+# both ends of the premium range the sweep accepts, and points between
+PREMIUMS = st.one_of(st.sampled_from([0.0, 1.0 - 1e-6]), st.floats(0.0, 0.95))
+
+
+@st.composite
+def quarter_grid_cases(draw):
+    """Electorate, platform pair and power map, bliss points and platforms on a quarter grid.
+
+    Platforms may coincide, which merges every outcome into one block.
+    """
+    n = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    dist = pc.VoterDistribution(np.array(cells) / 4.0, weights / weights.sum())
+    x_a, x_b = (draw(st.integers(-8, 8)) / 4.0 for _ in range(2))
+    shock = pc.Shock(draw(st.sampled_from([0.5, 4.0, 20.0])))
+    power = pc.majority_premium_power(1.0, draw(PREMIUMS))
+    return dist, pc.PlatformPair([x_a], [x_b]), power, shock
+
+
+@st.composite
+def planted_lotteries(draw):
+    """Vote-share lotteries whose outcomes come in runs 0.3e-12 apart, each spanning under 1e-12."""
+    centers = draw(st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True))
+    shares = [c / 64.0 + k * 0.3e-12 for c in centers for k in range(draw(st.integers(1, 4)))]
+    shares = np.array(draw(st.permutations(shares)))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(shares),
+                                     max_size=len(shares))))
+    power = pc.majority_premium_power(1.0, draw(PREMIUMS))
+    # platforms at most one apart keep outcome runs as tight as the share runs
+    pair = pc.PlatformPair([draw(st.sampled_from([1.0, 0.75]))], [draw(st.sampled_from([0.0, 0.25]))])
+    return pair, shares, weights / weights.sum(), power
+
+
+def _line_electorate(rng, n):
+    """``n`` 1-D types, jittered around an even grid on [-1, 1], with random shares."""
+    step = 2.0 / (n - 1)
+    x = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.4, 0.4, size=n) * step
+    w = rng.uniform(0.5, 1.5, size=n)
+    return pc.VoterDistribution(rng.permutation(x), w / w.sum())
+
+
+def _compromise_outcomes(pair, shares, power):
+    lam = np.asarray(power.evaluate(shares), dtype=float) / power.total
+    return lam * pair.x_a[0] + (1.0 - lam) * pair.x_b[0]
+
+
+def _same_bits(lot, outcomes, probabilities):
+    return (lot.outcomes.tobytes() == outcomes.tobytes()
+            and lot.probabilities.tobytes() == probabilities.tobytes())
 
 
 class TestPolicyLottery:
@@ -55,6 +115,43 @@ class TestPolicyLottery:
             pc.policy_lottery(pc.PlatformPair([0, 0], [1, 1]), two_type_2d,
                               pc.proportional_power(), unit_shock)
 
+    @settings(max_examples=150)
+    @given(case=quarter_grid_cases())
+    def test_merge_matches_loop_on_quarter_grid(self, case):
+        dist, pair, power, shock = case
+        shares, probs = pc.vote_share_lottery(dist, shock, pair)
+        want = oracle_policy_merge(_compromise_outcomes(pair, shares, power), probs)
+        assert _same_bits(pc.policy_lottery(pair, dist, power, shock), *want)
+
+    @settings(max_examples=150)
+    @given(case=planted_lotteries())
+    def test_merge_matches_loop_on_planted_runs(self, case):
+        pair, shares, probs, power = case
+        want = oracle_policy_merge(_compromise_outcomes(pair, shares, power), probs)
+        assert _same_bits(welfare._compromise_lottery(pair, shares, probs, power), *want)
+
+    def test_long_block_adds_left_to_right(self):
+        # a pairwise sum rounds 1 + 2^-53 + 2^-53 up to 1 + 2^-52; left to right it stays 1
+        pair = pc.PlatformPair([1.0], [0.0])
+        shares = 0.25 + 1e-13 * np.arange(4)
+        probs = np.array([1.0, 2.0**-53, 2.0**-53, 0.0])
+        assert np.add.reduceat(probs, [0]).tolist() == [1.0 + 2.0**-52]
+        lot = welfare._compromise_lottery(pair, shares, probs, pc.proportional_power())
+        assert lot.outcomes.tolist() == [0.25]
+        assert lot.probabilities.tolist() == [1.0]
+        assert _same_bits(lot, *oracle_policy_merge(shares, probs))
+
+    def test_adjacent_gaps_chain_a_block(self):
+        # a run of outcomes 0.4e-12 apart spans 1.2e-12: one block by adjacent gaps,
+        # where the loop's first-outcome rule split it in two
+        pair = pc.PlatformPair([1.0], [0.0])
+        shares = 0.25 + 0.4e-12 * np.arange(4)
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        lot = welfare._compromise_lottery(pair, shares, probs, pc.proportional_power())
+        assert lot.outcomes.tolist() == [0.25]
+        assert lot.probabilities.tolist() == [1.0]
+        assert len(oracle_policy_merge(shares, probs)[0]) == 2
+
 
 class TestWelfareDecomposition:
     def test_reference_hand_values(self, two_type, unit_shock):
@@ -87,13 +184,73 @@ class TestWelfareDecomposition:
             eq = pc.equilibrium_1d(dist, nu_quadratic, shock)
             lot = pc.policy_lottery(eq.pair, dist, power, shock)
             rep = pc.welfare_decomposition(lot, dist)
-            x = dist.bliss[:, 0]
-            direct = sum(p * float(-(dist.shares @ (o - x) ** 2))
-                         for o, p in zip(lot.outcomes, lot.probabilities))
-            assert rep.welfare == pytest.approx(direct, abs=1e-10)
+            assert rep.welfare == pytest.approx(oracle_direct_welfare(lot, dist), abs=1e-10)
+
+
+    @settings(max_examples=100)
+    @given(case=quarter_grid_cases())
+    def test_direct_check_matches_loop(self, case):
+        dist, pair, power, shock = case
+        lot = pc.policy_lottery(pair, dist, power, shock)
+        got = welfare._direct_welfare(lot, dist.bliss[:, 0], dist.shares)
+        assert abs(got - oracle_direct_welfare(lot, dist)) <= 1e-13
+
+    def test_direct_check_blocks_match_loop(self):
+        # N = 800 takes several outcome blocks per matrix product
+        dist = _line_electorate(np.random.default_rng(44), 800)
+        shock = shock_for(dist)
+        eq = pc.equilibrium_1d(dist, pc.payoff_preset("quadratic"), shock)
+        lot = pc.policy_lottery(eq.pair, dist, pc.proportional_power(), shock)
+        got = welfare._direct_welfare(lot, dist.bliss[:, 0], dist.shares)
+        assert abs(got - oracle_direct_welfare(lot, dist)) <= 1e-13
+
+    def test_off_variance_is_caught(self, two_type, unit_shock, monkeypatch):
+        lot = pc.policy_lottery(pc.PlatformPair([0.75], [0.25]), two_type,
+                                pc.proportional_power(), unit_shock)
+        pc.welfare_decomposition(lot, two_type)
+        exact = pc.PolicyLottery.variance
+        monkeypatch.setattr(pc.PolicyLottery, "variance",
+                            property(lambda self: exact.fget(self) + 1e-9))
+        with pytest.raises(InternalConsistencyError, match="disagrees with direct welfare"):
+            pc.welfare_decomposition(lot, two_type)
+
+    def test_memory_flat_at_800_types(self, nu_quadratic):
+        dist = _line_electorate(np.random.default_rng(45), 800)
+        shock = shock_for(dist)
+        eq = pc.equilibrium_1d(dist, nu_quadratic, shock)
+        lot = pc.policy_lottery(eq.pair, dist, pc.proportional_power(), shock)
+        assert len(lot.outcomes) > 700
+        tracemalloc.start()
+        try:
+            pc.welfare_decomposition(lot, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPremiumSweep:
+    def test_one_vote_share_lottery_per_row(self, three_type_symmetric, monkeypatch):
+        calls = []
+        real = model.vote_share_lottery
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (model, eq1d, welfare):
+            monkeypatch.setattr(module, "vote_share_lottery", counting)
+        u = pc.utility_preset("quadratic")
+        sweep = pc.premium_sweep(three_type_symmetric, u, 1.0, [0.3], pc.Shock(5.0))
+        assert len(calls) == 1
+        power = pc.majority_premium_power(1.0, 0.3)
+        eq = pc.equilibrium_1d(three_type_symmetric, pc.compose_reduced_payoff(u, power),
+                               pc.Shock(5.0))
+        rep = pc.welfare_decomposition(
+            pc.policy_lottery(eq.pair, three_type_symmetric, power, pc.Shock(5.0)),
+            three_type_symmetric)
+        assert sweep.rows[0].welfare == rep.welfare and sweep.rows[0].mean == rep.mean_policy
+
     def test_symmetric_three_type_sweep(self, three_type_symmetric):
         u = pc.utility_preset("quadratic")
         shock = pc.Shock(5.0)
