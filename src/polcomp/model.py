@@ -173,6 +173,7 @@ def as_pair(pair) -> PlatformPair:
 
 
 _GRID = np.linspace(0.0, 1.0, 1001)
+_GRID_HALF = len(_GRID) // 2            # _GRID[_GRID_HALF] == 0.5 exactly
 _FD_STEP = 1e-4
 
 
@@ -201,11 +202,11 @@ class PowerMap:
         self.total = float(total)
         self._func = func
         self.jump = float(jump)
-        mid = float(func(np.asarray(0.5)))
+        vals = self.evaluate(_GRID)
+        mid = float(vals[_GRID_HALF])
         self.half_lower = mid if half_lower is None else float(half_lower)
         self.half_upper = mid if half_upper is None else float(half_upper)
         self.description = description
-        vals = self.evaluate(_GRID)
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("power map must be finite on the validation grid")
         if np.any(vals[1:] - vals[:-1] <= 0.0):
@@ -279,8 +280,10 @@ class ReducedPayoff:
 
     def __init__(self, func, *, normalize=True, provenance="direct", power_map=None,
                  half_lower_raw=None, half_upper_raw=None, assume_monotone=False):
-        raw0 = float(func(np.asarray(0.0)))
-        raw1 = float(func(np.asarray(1.0)))
+        # one evaluation of the grid; its ends give the normalization
+        raw = np.asarray(func(unit_clamp(_GRID)), dtype=float)
+        raw0 = float(raw[0])
+        raw1 = float(raw[-1])
         span = raw1 - raw0
         if normalize:
             if span <= 0.0:
@@ -293,7 +296,7 @@ class ReducedPayoff:
         self.provenance = provenance
         self.power_map = power_map
 
-        vals = self.evaluate(_GRID)
+        vals = (raw - self._offset) / self._scale        # == self.evaluate(_GRID)
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("reduced payoff must be finite on the validation grid")
         diffs = vals[1:] - vals[:-1]
@@ -307,7 +310,7 @@ class ReducedPayoff:
             raise PreconditionError("reduced payoff must be strictly increasing in vote share")
         self.value_at_zero = float(vals[0])
         self.value_at_one = float(vals[-1])
-        self.value_at_half = float(self.evaluate(0.5))
+        self.value_at_half = float(vals[_GRID_HALF])
 
         def _norm(v):
             return (float(v) - self._offset) / self._scale
@@ -325,13 +328,15 @@ class ReducedPayoff:
         self.strictly_concave = (not self.has_jump) and bool(np.all(second < 0.0))
 
         # gain asymmetry: nu(s) + nu(1 - s) strictly increasing on [0, 1/2]
-        half = vals[: len(_GRID) // 2 + 1]          # grid points in [0, 0.5]
-        mirror = vals[len(_GRID) // 2:][::-1]        # nu(1 - s) on the same points
+        half = vals[: _GRID_HALF + 1]                # grid points in [0, 0.5]
+        mirror = vals[_GRID_HALF:][::-1]             # nu(1 - s) on the same points
         gain = half + mirror
         interior = gain[1:-1] - gain[:-2]            # pairs strictly below 0.5
         self.minority_gain_strict = bool(np.all(interior > 0.0))
         if self.has_jump:
-            s_last = _GRID[len(_GRID) // 2 - 1]
+            # scalar calls, not grid entries: for placement-linear a vector call
+            # differs in the last bits (BLAS row sums in the Simpson matmul)
+            s_last = _GRID[_GRID_HALF - 1]
             base = float(self.evaluate(s_last) + self.evaluate(1.0 - s_last))
             lower_ok = self.half_lower * 2.0 > base
             upper_ok = self.half_upper * 2.0 > base
@@ -480,21 +485,95 @@ def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
     return 0.5 * (nu.value_at_one + nu.value_at_zero) + sq / (2.0 * shock.half_width)
 
 
+# Monte-Carlo shock lookup: buckets per preference gap, and shocks drawn per chunk
+_MC_BUCKETS_PER_GAP = 64
+_MC_CHUNK = 1 << 16
+
+
+def _shock_lookup(g, values, half_width):
+    """Function mapping shocks ``eps`` to ``values[np.searchsorted(g, eps, side="left")]``.
+
+    ``g`` holds ascending, non-NaN gaps (±inf allowed) and ``values`` one
+    entry per interval between them. The support [-h, h] is cut into
+    B = 64 · len(g) buckets by b(v) = trunc(clamp((v / h + 1) · B/2, 0, B - 1)).
+    Every step of b is monotone non-decreasing under round-to-nearest, so
+    b(eps) < b(g_i) implies eps < g_i and b(eps) > b(g_i) implies eps > g_i.
+    A shock in a bucket that holds no gap therefore lies above exactly the
+    gaps in lower buckets, and its value is read from a per-bucket table;
+    a shock sharing its bucket with a gap takes the exact binary search.
+    Dividing by h, not multiplying by B / (2h), keeps b finite for a
+    subnormal h, and v / h is never NaN for a finite positive h.
+    """
+    n_buckets = _MC_BUCKETS_PER_GAP * len(g)
+    scale = 0.5 * n_buckets
+    top = n_buckets - 1.0
+
+    def bucket(v):
+        with np.errstate(over="ignore"):      # far gaps overflow to ±inf: end buckets
+            b = v / half_width
+            b += 1.0
+            b *= scale
+        np.maximum(b, 0.0, out=b)
+        np.minimum(b, top, out=b)
+        return b.astype(np.intp)
+
+    gap_bucket = bucket(g)
+    # values[k] fills the buckets above gap k-1's, up to gap k's: k gaps lie lower
+    table = np.repeat(values, np.diff(gap_bucket, prepend=-1, append=n_buckets - 1))
+    shared = np.zeros(n_buckets, dtype=bool)
+    shared[gap_bucket] = True
+
+    def lookup(eps, out=None):
+        b = bucket(eps)
+        out = np.take(table, b, out=out, mode="clip")     # in range; "clip" is unbuffered
+        hit = np.flatnonzero(np.take(shared, b))
+        if hit.size:
+            out[hit] = values[np.searchsorted(g, eps[hit], side="left")]
+        return out
+
+    return lookup
+
+
 def monte_carlo_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,
                        party="A", n_draws=100_000, seed=0) -> float:
-    """Monte-Carlo estimate of expected_payoff; deterministic given seed."""
-    if n_draws < 1:
-        raise PreconditionError("need at least one draw")
+    """Monte-Carlo estimate of expected_payoff; deterministic given seed.
+
+    Draws ``n_draws`` uniform shocks on [-h, h] from
+    ``np.random.default_rng(seed)``, reads the party's payoff in the
+    interval between sorted preference gaps that each shock falls in, and
+    returns the mean. Shocks are drawn ``_MC_CHUNK`` at a time; consecutive
+    chunks from one generator are the same doubles as a single draw. Each
+    shock's interval comes from the exact bucket lookup of
+    ``_shock_lookup``, equal to a binary search of every shock. The values
+    fill one output array whose mean is taken once, so the result is the
+    same float, bit for bit, as ``values[np.searchsorted(g, eps)].mean()``
+    over the whole draw. Memory is that array (8 bytes a draw) plus a few
+    chunk-sized temporaries and ``_MC_BUCKETS_PER_GAP`` table entries per
+    type: a 10**6-draw call peaks near 10 MB, where a whole-array binary
+    search held 24 MB.
+
+    Raises PreconditionError unless ``n_draws`` is an integer (not a bool)
+    of at least 1, or if a preference gap is NaN (non-finite platforms).
+    """
+    if (isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer))
+            or n_draws < 1):
+        raise PreconditionError(f"n_draws must be an integer of at least 1, got {n_draws!r}")
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
+    if np.isnan(g[-1]):                 # argsort places NaN last
+        raise PreconditionError("preference gaps are NaN: platforms must not be NaN "
+                                "or both infinite")
     tails, _ = _sorted_gap_lottery(g, dist.shares[order], shock.half_width)
     if party == "B":
         tails = 1.0 - tails
     elif party != "A":
         raise PreconditionError(f"party must be 'A' or 'B', got {party!r}")
+    h = shock.half_width
+    lookup = _shock_lookup(g, np.asarray(nu.evaluate(tails), dtype=float), h)
     rng = np.random.default_rng(seed)
-    eps = rng.uniform(-shock.half_width, shock.half_width, size=n_draws)
-    idx = np.searchsorted(g, eps, side="left")
-    values = np.asarray(nu.evaluate(tails), dtype=float)
-    return float(values[idx].mean())
+    out = np.empty(n_draws)
+    for start in range(0, n_draws, _MC_CHUNK):
+        stop = min(start + _MC_CHUNK, n_draws)
+        lookup(rng.uniform(-h, h, size=stop - start), out=out[start:stop])
+    return float(out.mean())

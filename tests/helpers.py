@@ -8,6 +8,7 @@ import numpy as np
 import polcomp as pc
 from polcomp.equilibrium1d import equilibrium_weights
 from polcomp.equilibriumkd import SYMMETRY_TOL
+from polcomp.model import _sorted_gap_lottery
 
 
 def grid_best_response(dist, nu, shock, opponent, n_points=10_000):
@@ -53,17 +54,40 @@ def shock_for(dist, margin=1.0):
     return pc.Shock(float(np.sum((hi - lo) ** 2)) + margin)
 
 
+MAX_REDRAWS = 10_000
+
+
+def _min_pairwise_distance(bliss):
+    """Smallest Euclidean distance between two rows.
+
+    In one dimension the closest pair is adjacent in sorted order, and
+    rounded subtraction is monotone, so the sorted differences give the
+    pairwise matrix's minimum bit for bit at O(N log N).
+    """
+    if bliss.shape[1] == 1:
+        return np.sqrt(np.diff(np.sort(bliss[:, 0])) ** 2).min(initial=np.inf)
+    diffs = bliss[:, None, :] - bliss[None, :, :]
+    dist_mat = np.sqrt(np.sum(diffs**2, axis=2))
+    np.fill_diagonal(dist_mat, np.inf)
+    return dist_mat.min()
+
+
 def random_diverse_instance(rng, n_types=None, dim=1, scale=1.0):
-    """Random electorate with well-separated types and interior shares."""
+    """Random electorate with well-separated types and interior shares.
+
+    Redraws the bliss points until every pair is farther apart than
+    0.05 × scale; raises ValueError after MAX_REDRAWS draws.
+    """
     if n_types is None:
         n_types = int(rng.integers(2, 7))
-    while True:
+    spacing = 0.05 * scale
+    for _ in range(MAX_REDRAWS):
         bliss = rng.uniform(-scale, scale, size=(n_types, dim))
-        diffs = bliss[:, None, :] - bliss[None, :, :]
-        dist_mat = np.sqrt(np.sum(diffs**2, axis=2))
-        np.fill_diagonal(dist_mat, np.inf)
-        if dist_mat.min() > 0.05 * scale:
+        if _min_pairwise_distance(bliss) > spacing:
             break
+    else:
+        raise ValueError(f"no draw of n_types={n_types} points in dim={dim} with spacing "
+                         f"above {spacing:g} in {MAX_REDRAWS} tries")
     shares = rng.uniform(0.5, 1.5, size=n_types)
     shares = shares / shares.sum()
     return pc.VoterDistribution(bliss, shares)
@@ -296,3 +320,23 @@ def oracle_direct_welfare(lottery, dist):
     x = dist.bliss[:, 0]
     return float(sum(p * -(dist.shares @ (xi - x) ** 2)
                      for xi, p in zip(lottery.outcomes, lottery.probabilities)))
+
+
+def oracle_monte_carlo_payoff(dist, nu, shock, pair, party="A", n_draws=100_000, seed=0):
+    """Monte-Carlo payoff by a binary search of every shock, drawn in one call.
+
+    Reference for ``pc.monte_carlo_payoff``: the same seeded draws, each
+    shock's interval by ``np.searchsorted`` over the sorted gaps, and one
+    mean over the gathered values.
+    """
+    gaps = pc.preference_gaps(pair, dist)
+    order = np.argsort(gaps, kind="stable")
+    g = gaps[order]
+    tails, _ = _sorted_gap_lottery(g, dist.shares[order], shock.half_width)
+    if party == "B":
+        tails = 1.0 - tails
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(-shock.half_width, shock.half_width, size=n_draws)
+    idx = np.searchsorted(g, eps, side="left")
+    values = np.asarray(nu.evaluate(tails), dtype=float)
+    return float(values[idx].mean())

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
 from polcomp.errors import DimensionError, PreconditionError
-from polcomp.model import _first_duplicate_row, distance_payoff, unit_clamp
+from polcomp.model import (_MC_CHUNK, _first_duplicate_row, _shock_lookup, distance_payoff,
+                           unit_clamp)
 
-from helpers import oracle_duplicate_pair, random_diverse_instance, shock_for
+from helpers import (oracle_duplicate_pair, oracle_monte_carlo_payoff, random_diverse_instance,
+                     shock_for)
 
 
 class TestVoterDistribution:
@@ -373,3 +378,137 @@ class TestMonteCarlo:
         with pytest.raises(PreconditionError):
             pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock,
                                   pc.PlatformPair([0.0], [1.0]), "A", n_draws=0)
+
+    @pytest.mark.parametrize("n_draws", [2.5, True, False, np.bool_(True), "10", None, -3])
+    def test_draw_count_must_be_an_integer(self, two_type, nu_quadratic, unit_shock, n_draws):
+        with pytest.raises(PreconditionError, match="n_draws must be an integer"):
+            pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock,
+                                  pc.PlatformPair([0.0], [1.0]), "A", n_draws=n_draws)
+
+    def test_numpy_integer_draw_count(self, two_type, nu_quadratic, unit_shock):
+        pair = pc.PlatformPair([0.75], [0.25])
+        v = pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock, pair, "A",
+                                  n_draws=np.int64(1000), seed=3)
+        assert v == pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock, pair, "A",
+                                          n_draws=1000, seed=3)
+
+    @pytest.mark.parametrize("x_a, x_b", [([np.nan], [0.25]), ([np.inf], [np.inf])])
+    def test_nan_gaps_rejected(self, two_type, nu_quadratic, unit_shock, x_a, x_b):
+        with pytest.raises(PreconditionError, match="preference gaps are NaN"):
+            pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock,
+                                  pc.PlatformPair(x_a, x_b), "A", n_draws=100)
+
+    @pytest.mark.parametrize("x_a, x_b, expected", [([np.inf], [0.25], 0.0),
+                                                    ([-np.inf], [0.25], 0.0),
+                                                    ([0.25], [np.inf], 1.0)])
+    def test_infinite_platform(self, two_type, nu_quadratic, unit_shock, x_a, x_b, expected):
+        pair = pc.PlatformPair(x_a, x_b)
+        for party, value in (("A", expected), ("B", 1.0 - expected)):
+            assert pc.monte_carlo_payoff(two_type, nu_quadratic, unit_shock, pair, party,
+                                         n_draws=1000, seed=4) == value
+
+    def test_million_draws_peak_memory(self, nu_quadratic):
+        dist = pc.VoterDistribution(np.linspace(-1.0, 1.0, 40), np.full(40, 1.0 / 40))
+        pair = pc.PlatformPair([0.1], [-0.3])
+        tracemalloc.start()
+        try:
+            pc.monte_carlo_payoff(dist, nu_quadratic, pc.Shock(5.0), pair, "A",
+                                  n_draws=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+_NU_PREMIUM = pc.payoff_preset("sqrt-sharing", majority_premium=0.2)
+_DRAW_COUNTS = [1, 2, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5]
+
+
+@st.composite
+def _mc_case(draw, kind):
+    """``(dist, shock, pair)``: quarter-grid, generic-float or narrow-shock instances."""
+    n = draw(st.integers(1, 10))
+    if kind == "grid":
+        # quarter-grid points: tied gaps, and gaps on bucket edges
+        ticks = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n, unique=True))
+        bliss = [t / 4 for t in ticks]
+        x_a, x_b = (draw(st.integers(-8, 8)) / 4 for _ in range(2))
+        h = draw(st.sampled_from([0.25, 1.0, 2.0, 8.0]))
+    else:
+        coord = st.floats(-2.0, 2.0, allow_nan=False)
+        bliss = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+        x_a, x_b = draw(coord), draw(coord)
+        if kind == "narrow":
+            # most gaps lie outside [-h, h]
+            h = draw(st.floats(1e-6, 1e-2))
+        else:
+            h = draw(st.floats(1e-2, 20.0))
+    weights = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    shares = weights / weights.sum()
+    shares[-1] = 1.0 - shares[:-1].sum()
+    return pc.VoterDistribution(bliss, shares), pc.Shock(h), pc.PlatformPair([x_a], [x_b])
+
+
+class TestMonteCarloMatchesOracle:
+    """Bit-for-bit agreement with the binary search of every shock, drawn at once."""
+
+    def _check(self, case, n_draws, seed):
+        dist, shock, pair = case
+        for nu in (pc.payoff_preset("quadratic"), _NU_PREMIUM):
+            for party in "AB":
+                got = pc.monte_carlo_payoff(dist, nu, shock, pair, party,
+                                            n_draws=n_draws, seed=seed)
+                want = oracle_monte_carlo_payoff(dist, nu, shock, pair, party,
+                                                 n_draws=n_draws, seed=seed)
+                assert got.hex() == want.hex()
+
+    @settings(max_examples=15)
+    @given(_mc_case("grid"), st.sampled_from(_DRAW_COUNTS), st.integers(0, 2**32 - 1))
+    def test_quarter_grid(self, case, n_draws, seed):
+        self._check(case, n_draws, seed)
+
+    @settings(max_examples=15)
+    @given(_mc_case("float"), st.sampled_from(_DRAW_COUNTS), st.integers(0, 2**32 - 1))
+    def test_generic_floats(self, case, n_draws, seed):
+        self._check(case, n_draws, seed)
+
+    @settings(max_examples=15)
+    @given(_mc_case("narrow"), st.sampled_from(_DRAW_COUNTS), st.integers(0, 2**32 - 1))
+    def test_narrow_shock(self, case, n_draws, seed):
+        self._check(case, n_draws, seed)
+
+    @pytest.mark.parametrize("n_draws", _DRAW_COUNTS)
+    def test_every_draw_count(self, two_type, n_draws):
+        case = (two_type, pc.Shock(1.0), pc.PlatformPair([0.75], [0.25]))
+        self._check(case, n_draws, seed=n_draws)
+
+
+class TestShockLookup:
+    """``_shock_lookup`` against ``np.searchsorted(side="left")`` on adversarial shocks."""
+
+    @pytest.mark.parametrize("h", [5e-324, 1e-300, 1.0, 8e307])
+    def test_matches_binary_search(self, h):
+        rng = np.random.default_rng(int(np.log2(h) + 1100))
+        for trial in range(150):
+            n = int(rng.integers(1, 12))
+            g = h * rng.uniform(-1.5, 1.5, size=n)
+            if trial % 3 == 0:
+                g[rng.integers(n)] = g[rng.integers(n)]              # tied gaps
+            if trial % 4 == 1:
+                g[rng.integers(n)] = rng.choice([-np.inf, np.inf])
+            if trial % 5 == 2:
+                g[rng.integers(n)] = rng.choice([-h, h])
+            g = np.sort(g)
+            eps = np.concatenate((
+                g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf),
+                [-h, h, 0.0, -0.0, np.nextafter(h, 0.0), np.nextafter(-h, 0.0)],
+                rng.uniform(-h, h, size=64)))
+            lookup = _shock_lookup(g, np.arange(n + 1.0), h)
+            np.testing.assert_array_equal(lookup(eps), np.searchsorted(g, eps, side="left"))
+
+    def test_writes_into_out(self):
+        g = np.array([-0.5, 0.0, 0.25])
+        eps = np.array([-0.75, -0.5, 0.0, 0.1, 0.25, 0.9])
+        out = np.full(eps.shape, np.nan)
+        assert _shock_lookup(g, np.array([10.0, 11.0, 12.0, 13.0]), 1.0)(eps, out=out) is out
+        np.testing.assert_array_equal(out, [10.0, 10.0, 11.0, 12.0, 12.0, 13.0])
