@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalConsistencyError, PreconditionError
-from .model import ReducedPayoff, Shock, VoterDistribution, as_pair, distance_payoff
+from .model import (ReducedPayoff, Shock, VoterDistribution, as_pair, distance_payoff,
+                    preference_gaps)
 from .equilibrium1d import equilibrium_1d
 
 FEEDBACK_TOL = 1e-10        # relative gap between simulated and closed-form platform gaps
@@ -111,13 +112,12 @@ def identity_adjusted_distribution(dist: VoterDistribution, pair, strength: floa
         raise DimensionError("platforms and electorate disagree on dimension")
     if strength < 0.0:
         raise PreconditionError("identity strength must be nonnegative")
+    gaps = preference_gaps(p, dist)
     gap_vec = p.x_a - p.x_b
     if not np.any(gap_vec != 0.0):
         raise PreconditionError("identity shifts need distinct platforms")
-    d_a = np.sum((dist.bliss - p.x_a) ** 2, axis=1)
-    d_b = np.sum((dist.bliss - p.x_b) ** 2, axis=1)
-    toward_a = d_a < d_b - 1e-12
-    toward_b = d_b < d_a - 1e-12
+    toward_a = gaps > 1e-12
+    toward_b = gaps < -1e-12
     shift = np.zeros_like(dist.bliss)
     shift[toward_a] = strength * gap_vec
     shift[toward_b] = -strength * gap_vec

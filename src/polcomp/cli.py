@@ -32,9 +32,9 @@ A payoff block may carry ``"direct": {"kind": "linear"}`` or
 ``{"kind": "power", "exponent": e}`` instead of ``preset`` to specify the
 vote-share payoff without a microfoundation (used for boundary checks).
 
-Task blocks: eq1d {"monte_carlo_draws": n?}; eqkd {"cap": n?};
+Task blocks: eq1d {"monte_carlo_draws": n?}; eqkd {};
 classify {}; spread {"candidate": {"types": [...]}};
-dspread {"candidate": {...}, "cap": n?}; welfare {"platforms": [a, b]?};
+dspread {"candidate": {...}}; welfare {"platforms": [a, b]?};
 premium-sweep {"premiums": [...]}; info {"salience", "prior_common",
 "prior_conflict", "posterior_conflict"}; dynamics {"gap", "theta_high",
 "theta_low", "cost", "horizon"}; validate ignores the task block (it
@@ -300,11 +300,8 @@ def _cmd_eq1d(dist, bundle, shock, seed, task):
 
 
 def _cmd_eqkd(dist, bundle, shock, seed, task):
-    _expect(task, "task", optional=("cap",))
-    cap = task.get("cap", eqkd.FACTORIAL_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise SchemaError("task.cap must be a positive integer")
-    report = eqkd.party_preferred_equilibria(dist, bundle.nu, shock, cap=cap)
+    _expect(task, "task")
+    report = eqkd.party_preferred_equilibria(dist, bundle.nu, shock)
     record = {
         "max_sq_distance": report.max_sq_distance,
         "payoff": report.party_preferred[0].payoff,
@@ -346,12 +343,9 @@ def _cmd_spread(dist, bundle, shock, seed, task):
 
 
 def _cmd_dspread(dist, bundle, shock, seed, task):
-    _expect(task, "task", required=("candidate",), optional=("cap",))
-    cap = task.get("cap", eqkd.FACTORIAL_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise SchemaError("task.cap must be a positive integer")
+    _expect(task, "task", required=("candidate",))
     candidate = _parse_distribution(task["candidate"], "task.candidate")
-    cmp = eqkd.compare_directional_spread_payoffs(dist, candidate, bundle.nu, shock, cap=cap)
+    cmp = eqkd.compare_directional_spread_payoffs(dist, candidate, bundle.nu, shock)
     record = {"base_payoff": cmp.base_payoff, "candidate_payoff": cmp.candidate_payoff,
               "base_sq_distance": cmp.base_sq_distance,
               "candidate_sq_distance": cmp.candidate_sq_distance,

@@ -8,17 +8,16 @@ must reproduce itself. A pair's gaps are 2x·(a−b) plus a constant, so
 every induced order is the order of the bliss points projected onto a
 direction: only rankings some direction realizes can be self-consistent,
 and only their platforms can be best responses. Searching those rankings
-therefore finds every local equilibrium at desk scale; party-preferred Nash
-equilibria are the local equilibria of maximal platform distance
-(symmetric electorates). Best-response dynamics over the finite candidate
-set provides the fallback beyond the factorial cap and the convergence
-machinery.
+therefore finds every local equilibrium; party-preferred Nash equilibria
+are the local equilibria of maximal platform distance (symmetric
+electorates). Best-response dynamics over the finite candidate set provides
+the convergence machinery.
 
 The realizable rankings are the cells of the central arrangement of the
 hyperplanes (x_i−x_j)·d = 0. When the bliss differences span at most
 three dimensions they are enumerated from flags of those hyperplanes
 (``_realizable_rankings``); in four or more, and for at most four types,
-every permutation is a row.
+every permutation is a row. ``ENUM_BUDGET`` bounds either search.
 Enumeration, the best-response candidate set and single rankings all go
 through one batched ranking table: every ranking is a row of an (M, n)
 index array, the payoff is evaluated once per distinct head or tail share
@@ -56,7 +55,7 @@ from .model import (
 from .equilibrium1d import _median_cut, equilibrium_weights, is_spread
 
 RANK_TOL = 1e-9
-FACTORIAL_CAP = 8
+ENUM_BUDGET = math.factorial(8) * 8     # entries a ranking search may touch: 8 types' n!·n
 FLAG_TOL = 1e-9             # sines this small count as a difference lying in a hyperplane
 _FEW_TYPES = 4              # up to this many types the n! rows cost less than the flags
 PREFERRED_TOL = 1e-9        # squared distances this close to the maximum tie for preferred
@@ -101,15 +100,6 @@ def _permutations(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(n: int):
-    """Read-only indices ``(first, second)`` of every pair of n types, first < second."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
-@functools.lru_cache(maxsize=None)
 def _flip_weights(rank: int) -> np.ndarray:
     """(r, 2^r) weights: a level's sign times 3^(levels after it), one column per flip pattern.
 
@@ -148,6 +138,12 @@ def _flag_levels(unit: np.ndarray) -> np.ndarray:
     return np.stack((ray, np.cross(ray, n1), n1), axis=2)
 
 
+def _require_budget(entries: int, n: int):
+    if entries > ENUM_BUDGET:
+        raise PreconditionError(f"the ranking search over {n} types would touch {entries} "
+                                f"entries, over the enumeration budget {ENUM_BUDGET}")
+
+
 def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
     """Read-only (M, n) array of the rankings some direction realizes, lexicographically.
 
@@ -166,14 +162,21 @@ def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
     close are merged. If those decisions are not transitive for some flag, a
     tie was uncertain, and every permutation is returned instead: extra rows
     cost time but never change a result. So are the rows when r ≥ 4, where
-    the flags outnumber the n! permutations at every n within the factorial
-    cap, and for at most ``_FEW_TYPES`` types, where a table of the n! ≤ 24
+    the flags outnumber the n! permutations at every n the budget admits,
+    and for at most ``_FEW_TYPES`` types, where a table of the n! ≤ 24
     permutations costs less than enumerating the flags.
+
+    Past ``ENUM_BUDGET`` entries, n!·n for permutations or flags × m pairs
+    (1, m or m(m−1) flags at rank 1, 2, 3), raises ``PreconditionError``
+    before allocating: 8 types fit at rank ≥ 4 or on an uncertain tie, 12
+    at rank 3, 34 at rank 2 and 803 at rank 1.
     """
     n = bliss.shape[0]
     if n <= _FEW_TYPES:
         return _permutations(n)
-    first, second = _pairs(n)
+    m = n * (n - 1) // 2
+    _require_budget(m, n)           # one flag is the least any search touches
+    first, second = np.triu_indices(n, 1)
     unit = bliss[first] - bliss[second]
     # scale by the largest component first, so tiny differences keep their norm
     unit /= np.max(np.abs(unit), axis=1, keepdims=True)
@@ -181,7 +184,9 @@ def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
     _, sing, basis = np.linalg.svd(unit, full_matrices=False)
     rank = int(np.count_nonzero(sing > FLAG_TOL * sing[0]))
     if rank > 3:
+        _require_budget(math.factorial(n) * n, n)
         return _permutations(n)
+    _require_budget((1, m, m * (m - 1))[rank - 1] * m, n)
     unit = unit @ basis[:rank].T                    # (m, r) pair directions in the span
     proj = unit @ _flag_levels(unit)                # (F, m, r)
     sign = np.sign(proj) * (np.abs(proj) > FLAG_TOL)
@@ -192,6 +197,7 @@ def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
     after[:, second, first] = ~later
     position = np.sum(after, axis=2)
     if not np.all(np.sort(position, axis=1) == np.arange(n)):
+        _require_budget(math.factorial(n) * n, n)
         return _permutations(n)
     rows = np.argsort(position, axis=1)
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -256,16 +262,13 @@ def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
 _TABLES = weakref.WeakKeyDictionary()
 
 
-def _stored_table(dist, nu, cap, advice=""):
+def _stored_table(dist, nu):
     """``(rows, high, low)`` over the rows of ``_realizable_rankings``, lexicographically.
 
     Built once per electorate and payoff object; the rows are reused for any
     payoff. This relies on ``VoterDistribution`` and ``ReducedPayoff`` being
     immutable. The arrays are read-only.
     """
-    if dist.n_types > cap:
-        raise PreconditionError(
-            f"{dist.n_types} types exceed the factorial cap {cap}{advice}")
     nu.require_strictly_concave()
     hit = _TABLES.get(dist)
     if hit is not None and hit[1] is nu:
@@ -293,8 +296,7 @@ class LocalEquilibrium:
     payoff: float
 
 
-def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                               cap: int = FACTORIAL_CAP):
+def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock):
     """All local equilibria by search over the realizable rankings, lexicographically.
 
     Keeps exactly the rankings that reproduce themselves at their generated
@@ -302,8 +304,7 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     kept pair is verified against the exact integrator: both parties'
     expected payoffs must match the distance identity within 1e-8.
     """
-    rows, high, low = _stored_table(dist, nu, cap,
-                                    "; use best_response_dynamics for larger electorates")
+    rows, high, low = _stored_table(dist, nu)
     nu.require_normalized()
     kept = np.flatnonzero(_self_consistent(rows, high, low, dist))
     found = []
@@ -328,7 +329,7 @@ def _check_equilibrium_payoffs(pair, payoff, dist, nu, shock):
         raise InternalConsistencyError("parties' payoffs differ at a local equilibrium")
 
 
-def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff, cap: int = FACTORIAL_CAP):
+def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff):
     """Every best-response candidate: both platforms of every realizable ranking.
 
     Only a ranking some direction realizes can be the order along a best
@@ -337,7 +338,7 @@ def candidate_platforms(dist: VoterDistribution, nu: ReducedPayoff, cap: int = F
     ranking, high side first, so index order breaks payoff ties
     deterministically.
     """
-    _, high, low = _stored_table(dist, nu, cap)
+    _, high, low = _stored_table(dist, nu)
     return np.stack((high, low), axis=1).reshape(-1, dist.dimension)
 
 
@@ -377,8 +378,8 @@ def _best_candidate(payoffs: np.ndarray) -> int:
     return int(np.flatnonzero(payoffs >= payoffs.max() - _PAYOFF_TIE_TOL)[0])
 
 
-def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                  cap: int = FACTORIAL_CAP) -> np.ndarray:
+def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff,
+                  shock: Shock) -> np.ndarray:
     """Globally best platform against ``opponent``.
 
     Global best responses lie in the finite candidate set generated by
@@ -393,7 +394,7 @@ def best_response(opponent, dist: VoterDistribution, nu: ReducedPayoff, shock: S
     opp = np.atleast_1d(np.asarray(opponent, dtype=float))
     if opp.shape[0] != dist.dimension:
         raise DimensionError("opponent platform dimension mismatch")
-    cands = candidate_platforms(dist, nu, cap)
+    cands = candidate_platforms(dist, nu)
     _require_in_support(opp, dist, shock)
     payoffs = _batch_payoffs(cands, opp, dist, nu, shock)
     return cands[_best_candidate(payoffs)].copy()
@@ -408,7 +409,7 @@ class DynamicsResult:
 
 
 def best_response_dynamics(start, dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                           max_iters: int = 60, cap: int = FACTORIAL_CAP) -> DynamicsResult:
+                           max_iters: int = 60) -> DynamicsResult:
     """Alternating best-response path from ``start`` (A moves first).
 
     A party already best-responding stays put; the walk stops once both
@@ -422,7 +423,7 @@ def best_response_dynamics(start, dist: VoterDistribution, nu: ReducedPayoff, sh
     if pair.dimension != dist.dimension:
         raise DimensionError("starting platforms dimension mismatch")
     symmetric = is_symmetric(dist)
-    cands = candidate_platforms(dist, nu, cap)
+    cands = candidate_platforms(dist, nu)
     _require_in_support(pair.x_a, dist, shock)
     _require_in_support(pair.x_b, dist, shock)
     traj = [pair]
@@ -460,8 +461,8 @@ class NashReport:
     inventory: tuple
 
 
-def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                               cap: int = FACTORIAL_CAP) -> NashReport:
+def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff,
+                               shock: Shock) -> NashReport:
     """Nash equilibria of maximal platform differentiation.
 
     Requires a symmetric electorate (existence is only guaranteed there).
@@ -470,7 +471,7 @@ def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     """
     if not is_symmetric(dist):
         raise PreconditionError("party-preferred selection requires a symmetric electorate")
-    inventory = enumerate_local_equilibria(dist, nu, shock, cap=cap)
+    inventory = enumerate_local_equilibria(dist, nu, shock)
     if not inventory:
         raise InternalConsistencyError(
             "no local equilibrium found for a symmetric electorate; "
@@ -598,8 +599,8 @@ class DirectionalSpreadComparison:
 
 
 def compare_directional_spread_payoffs(base: VoterDistribution, candidate: VoterDistribution,
-                                       nu: ReducedPayoff, shock: Shock,
-                                       cap: int = FACTORIAL_CAP) -> DirectionalSpreadComparison:
+                                       nu: ReducedPayoff,
+                                       shock: Shock) -> DirectionalSpreadComparison:
     """Party-preferred payoffs for a base electorate and a spread of it.
 
     The spread direction is the separation axis of the base's (first)
@@ -607,13 +608,13 @@ def compare_directional_spread_payoffs(base: VoterDistribution, candidate: Voter
     the candidate to be a spread of the base along that direction; the
     candidate's payoff must then strictly exceed the base's.
     """
-    nash_base = party_preferred_equilibria(base, nu, shock, cap=cap)
+    nash_base = party_preferred_equilibria(base, nu, shock)
     ref = nash_base.party_preferred[0]
     direction = ref.pair.x_a - ref.pair.x_b
     if not is_directional_spread(base, candidate, direction):
         raise PreconditionError(
             "candidate electorate is not a spread of the base along the equilibrium direction")
-    nash_cand = party_preferred_equilibria(candidate, nu, shock, cap=cap)
+    nash_cand = party_preferred_equilibria(candidate, nu, shock)
     base_pay = ref.payoff
     cand_pay = nash_cand.party_preferred[0].payoff
     if not cand_pay > base_pay:

@@ -386,13 +386,18 @@ def preference_gap(pair, bliss) -> float:
 
 
 def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
-    """Vectorized preference_gap over every type in the electorate."""
+    """Vectorized preference_gap over every type; a NaN gap raises PreconditionError."""
     p = as_pair(pair)
     if dist.dimension != p.dimension:
         raise DimensionError("electorate and platforms disagree on dimension")
     d_b = np.sum((dist.bliss - p.x_b) ** 2, axis=1)
     d_a = np.sum((dist.bliss - p.x_a) ** 2, axis=1)
-    return d_b - d_a
+    with np.errstate(invalid="ignore"):     # inf − inf is NaN, refused below
+        gaps = d_b - d_a
+    if np.isnan(gaps).any():
+        raise PreconditionError("preference gaps are NaN: platforms must not be NaN "
+                                "or both infinite")
+    return gaps
 
 
 def vote_probability(gap, shock: Shock):
@@ -460,8 +465,8 @@ def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
-    # merge near-ties into blocks
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
+    with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too, into blocks
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
     return _sorted_gap_lottery(g[starts], np.add.reduceat(dist.shares[order], starts),
                                shock.half_width)
 
@@ -553,7 +558,7 @@ def monte_carlo_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     search held 24 MB.
 
     Raises PreconditionError unless ``n_draws`` is an integer (not a bool)
-    of at least 1, or if a preference gap is NaN (non-finite platforms).
+    of at least 1, or if a preference gap is NaN (see ``preference_gaps``).
     """
     if (isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer))
             or n_draws < 1):
@@ -561,9 +566,6 @@ def monte_carlo_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
     g = gaps[order]
-    if np.isnan(g[-1]):                 # argsort places NaN last
-        raise PreconditionError("preference gaps are NaN: platforms must not be NaN "
-                                "or both infinite")
     tails, _ = _sorted_gap_lottery(g, dist.shares[order], shock.half_width)
     if party == "B":
         tails = 1.0 - tails

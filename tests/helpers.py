@@ -94,19 +94,24 @@ def random_diverse_instance(rng, n_types=None, dim=1, scale=1.0):
 
 
 def random_symmetric_instance(rng, n_pairs=None, dim=2, center_type=False, scale=1.0):
-    """Random electorate symmetric through its mean bliss point."""
+    """Random electorate symmetric through its mean bliss point.
+
+    Redraws the mirror pairs until every two of their points are farther
+    apart than 0.05 × scale; raises ValueError after MAX_REDRAWS draws.
+    """
     if n_pairs is None:
         n_pairs = int(rng.integers(1, 4))
     center = rng.uniform(-0.5, 0.5, size=dim)
-    while True:
+    spacing = 0.05 * scale
+    for _ in range(MAX_REDRAWS):
         offsets = rng.uniform(0.1, scale, size=(n_pairs, dim))
         offsets *= rng.choice([-1.0, 1.0], size=(n_pairs, dim))
         pts = np.vstack([center + offsets, center - offsets])
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist_mat = np.sqrt(np.sum(diffs**2, axis=2))
-        np.fill_diagonal(dist_mat, np.inf)
-        if dist_mat.min() > 0.05 * scale:
+        if _min_pairwise_distance(pts) > spacing:
             break
+    else:
+        raise ValueError(f"no draw of n_pairs={n_pairs} mirror pairs in dim={dim} with "
+                         f"spacing above {spacing:g} in {MAX_REDRAWS} tries")
     pair_shares = rng.uniform(0.5, 1.5, size=n_pairs)
     if center_type:
         total = pair_shares.sum() * rng.uniform(1.1, 1.6)

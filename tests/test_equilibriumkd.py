@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import time
 import tracemalloc
 import weakref
 
@@ -19,6 +21,7 @@ from helpers import (
     oracle_local_equilibria,
     oracle_realizable_rankings,
     outward_directional_spread,
+    random_diverse_instance,
     random_symmetric_instance,
     shock_for,
 )
@@ -220,12 +223,6 @@ class TestEnumeration:
         assert tops[1] == pytest.approx(eq1d.x_high, abs=1e-12)
         assert tops[0] == pytest.approx(eq1d.x_low, abs=1e-12)
 
-    def test_cap_exceeded(self, nu_quadratic, unit_shock):
-        rng = np.random.default_rng(31)
-        d = pc.VoterDistribution(rng.uniform(-1, 1, (5, 2)), np.ones(5) / 5)
-        with pytest.raises(PreconditionError, match="best_response_dynamics"):
-            pc.enumerate_local_equilibria(d, nu_quadratic, unit_shock, cap=4)
-
     def test_self_consistency_on_random_symmetric(self, nu_quadratic):
         rng = np.random.default_rng(32)
         for _ in range(8):
@@ -402,7 +399,7 @@ class TestRankingTable:
     def test_enumerates_at_factorial_cap(self, nu_quadratic):
         rng = np.random.default_rng(88)
         dist = random_symmetric_instance(rng, n_pairs=4, dim=2)
-        assert dist.n_types == eqkd.FACTORIAL_CAP
+        assert dist.n_types == 8
         shock = shock_for(dist)
         found = pc.enumerate_local_equilibria(dist, nu_quadratic, shock)
         assert found
@@ -411,18 +408,6 @@ class TestRankingTable:
             for party in "AB":
                 v = pc.expected_payoff(dist, nu_quadratic, shock, eq.pair, party)
                 assert v == pytest.approx(eq.payoff, abs=1e-8)
-
-    def test_nine_types_exceed_cap(self, nu_quadratic):
-        rng = np.random.default_rng(89)
-        dist = random_symmetric_instance(rng, n_pairs=4, dim=2, center_type=True)
-        shock = shock_for(dist)
-        with pytest.raises(PreconditionError) as exc:
-            pc.enumerate_local_equilibria(dist, nu_quadratic, shock)
-        assert str(exc.value) == ("9 types exceed the factorial cap 8; "
-                                  "use best_response_dynamics for larger electorates")
-        with pytest.raises(PreconditionError) as exc:
-            pc.best_response(dist.bliss[0], dist, nu_quadratic, shock)
-        assert str(exc.value) == "9 types exceed the factorial cap 8"
 
 
 class TestRealizableRows:
@@ -491,9 +476,7 @@ class TestRealizableRows:
         # along the y axis (a flag of the two exact normals of types 1, 3 and 1, 4), type 0
         # ties with types 1 and 2 and is ordered between them by x, while 1 and 2 do not
         # tie and order the other way
-        pts = np.array([[0.0, 1e-8, 100.0], [1.0, 0.0, 0.0], [-1.0, 2e-8, 0.0],
-                        [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
-        assert eqkd._realizable_rankings(pts) is eqkd._permutations(5)
+        assert eqkd._realizable_rankings(_INTRANSITIVE[:5]) is eqkd._permutations(5)
 
     def test_collinear_points_in_three_dimensions(self):
         # rank 1: the only realizable rankings are the line order and its reverse
@@ -503,6 +486,120 @@ class TestRealizableRows:
     def test_few_types_use_permutations(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0], [-0.5, 0.4]])
         assert eqkd._realizable_rankings(pts) is eqkd._permutations(4)
+
+
+# five types whose flag decisions are intransitive (see the fallback test), then generic ones
+_INTRANSITIVE = np.array([[0.0, 1e-8, 100.0], [1.0, 0.0, 0.0], [-1.0, 2e-8, 0.0],
+                          [1.0, 0.0, 1.0], [2.0, 0.0, 0.0], [3.0, 5.0, -7.0],
+                          [-4.0, -6.0, 2.0], [6.0, -3.0, 11.0], [-5.0, 7.0, -13.0]])
+
+
+def _distinct_directions(bliss):
+    """Number of distinct lines through the 2-D pair differences, sines above 1e-9 apart."""
+    first, second = np.triu_indices(len(bliss), 1)
+    diff = bliss[first] - bliss[second]
+    angle = np.sort(np.mod(np.arctan2(diff[:, 1], diff[:, 0]), np.pi))
+    gaps = np.diff(np.append(angle, angle[0] + np.pi))
+    return int(np.count_nonzero(np.abs(np.sin(gaps)) > 1e-9))
+
+
+@contextlib.contextmanager
+def _peak_bytes():
+    """Yields a list that holds the peak traced allocation of the block once it exits."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+class TestEnumerationBudget:
+    """Past 8 types the search runs until it would touch ``ENUM_BUDGET`` entries."""
+
+    @pytest.mark.parametrize("dim, n_pairs", [(2, 17), (3, 6)])
+    def test_largest_admitted_electorates_solve(self, dim, n_pairs, nu_quadratic):
+        dist = random_symmetric_instance(np.random.default_rng(70 + dim), n_pairs=n_pairs,
+                                         dim=dim)
+        shock = shock_for(dist)
+        with _peak_bytes() as peak:
+            rep = pc.party_preferred_equilibria(dist, nu_quadratic, shock)
+        assert peak[0] < 32e6
+        for eq in rep.inventory:
+            assert pc.induced_ranking(eq.pair, dist) == eq.ranking
+        for eq in rep.party_preferred:
+            br_a = pc.best_response(eq.pair.x_b, dist, nu_quadratic, shock)
+            br_b = pc.best_response(eq.pair.x_a, dist, nu_quadratic, shock)
+            assert np.allclose(br_a, eq.pair.x_a, atol=1e-9)
+            assert np.allclose(br_b, eq.pair.x_b, atol=1e-9)
+
+    def test_eight_hundred_types_on_a_line(self, nu_quadratic):
+        dist = pc.VoterDistribution(np.linspace(-1.0, 1.0, 800), np.full(800, 1.0 / 800))
+        shock = shock_for(dist)
+        rep = pc.party_preferred_equilibria(dist, nu_quadratic, shock)
+        eq1d = pc.equilibrium_1d(dist, nu_quadratic, shock)
+        assert len(rep.inventory) == 2
+        tops = sorted(float(eq.pair.x_a[0]) for eq in rep.inventory)
+        assert tops == pytest.approx([eq1d.x_low, eq1d.x_high], abs=1e-12)
+
+    @pytest.mark.parametrize("dim, n_pairs, entries", [
+        (1, 402, 323_610),                      # C(805, 2) pairs, one flag
+        (2, 17, 595 * 595),                     # m = C(35, 2) flags of m pairs
+        (3, 6, 78 * 77 * 78),                   # m(m−1) flags of m = C(13, 2) pairs
+        (4, 4, 362_880 * 9),                    # 9! permutations of 9 types
+    ])
+    def test_one_type_past_the_limit_is_refused(self, dim, n_pairs, entries, nu_quadratic):
+        if dim == 1:
+            n = 2 * n_pairs + 1
+            dist = pc.VoterDistribution(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n))
+        else:
+            dist = random_symmetric_instance(np.random.default_rng(80 + dim), n_pairs=n_pairs,
+                                             dim=dim, center_type=True)
+        shock = shock_for(dist)
+        message = (f"the ranking search over {dist.n_types} types would touch {entries} "
+                   f"entries, over the enumeration budget 322560")
+        for call in (lambda: pc.party_preferred_equilibria(dist, nu_quadratic, shock),
+                     lambda: pc.best_response(dist.bliss[0], dist, nu_quadratic, shock),
+                     lambda: pc.best_response_dynamics((dist.bliss[0], dist.bliss[1]), dist,
+                                                       nu_quadratic, shock)):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_refusal_allocates_no_flags(self):
+        dist = random_symmetric_instance(np.random.default_rng(90), n_pairs=10, dim=3)
+        start = time.perf_counter()
+        with _peak_bytes() as peak, pytest.raises(PreconditionError, match="enumeration budget"):
+            eqkd._realizable_rankings(dist.bliss)
+        assert peak[0] < 1e6
+        assert time.perf_counter() - start < 1.0
+
+    def test_intransitive_ties_past_eight_types_are_refused(self):
+        with pytest.raises(PreconditionError, match="9 types would touch 3265920 entries"):
+            eqkd._realizable_rankings(_INTRANSITIVE)
+
+    @pytest.mark.parametrize("n_types", [9, 12, 20, 34])
+    def test_generic_plane_has_two_rows_per_direction(self, n_types):
+        rng = np.random.default_rng(n_types)
+        for dist in (random_diverse_instance(rng, n_types=n_types, dim=2),
+                     random_symmetric_instance(rng, n_pairs=n_types // 2, dim=2)):
+            rows = eqkd._realizable_rankings(dist.bliss)
+            assert len(rows) == 2 * _distinct_directions(dist.bliss)
+
+    @pytest.mark.parametrize("dim, n_pairs", [(2, 17), (3, 6)])
+    def test_random_directions_order_the_types_as_rows(self, dim, n_pairs):
+        rng = np.random.default_rng(95 + dim)
+        dist = random_symmetric_instance(rng, n_pairs=n_pairs, dim=dim)
+        rows = {tuple(r) for r in eqkd._realizable_rankings(dist.bliss).tolist()}
+        checked = 0
+        for d in rng.standard_normal((1000, dim)):
+            z = dist.bliss @ d
+            order = np.argsort(z)
+            if np.min(np.diff(z[order])) > 1e-9:     # a direction at a tie realizes no row
+                assert tuple(order.tolist()) in rows
+                checked += 1
+        assert checked > 990
 
 
 class TestStoredTable:
@@ -533,8 +630,8 @@ class TestStoredTable:
         assert len(eqkd._TABLES[dist][0]) < 720
 
     def test_same_payoff_reuses_table(self, row_builds, crafted_4type, nu_quadratic):
-        first = eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP)
-        again = eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP)
+        first = eqkd._stored_table(crafted_4type, nu_quadratic)
+        again = eqkd._stored_table(crafted_4type, nu_quadratic)
         assert all(a is b for a, b in zip(first, again))
         assert len(row_builds) == 1
 
@@ -549,13 +646,8 @@ class TestStoredTable:
         assert eqkd._TABLES[crafted_4type][1] is other
         assert np.array_equal(cands, fresh_solve(eqkd.candidate_platforms, crafted_4type, other))
 
-    def test_cap_checked_before_lookup(self, crafted_4type, nu_quadratic):
-        eqkd.candidate_platforms(crafted_4type, nu_quadratic)
-        with pytest.raises(PreconditionError, match="factorial cap 3"):
-            eqkd.candidate_platforms(crafted_4type, nu_quadratic, cap=3)
-
     def test_arrays_read_only(self, crafted_4type, nu_quadratic):
-        for a in eqkd._stored_table(crafted_4type, nu_quadratic, eqkd.FACTORIAL_CAP):
+        for a in eqkd._stored_table(crafted_4type, nu_quadratic):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]

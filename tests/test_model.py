@@ -191,6 +191,21 @@ class TestPreferenceGap:
         with pytest.raises(DimensionError):
             pc.preference_gap(pc.PlatformPair([0.0], [1.0]), [1.0, 2.0])
 
+    @pytest.mark.parametrize("entry", [
+        lambda d, pair: pc.preference_gaps(pair, d),
+        lambda d, pair: pc.vote_share_lottery(d, pc.Shock(1.0), pair),
+        lambda d, pair: pc.expected_payoff(d, pc.payoff_preset("quadratic"), pc.Shock(1.0),
+                                           pair),
+        lambda d, pair: pc.induced_ranking(pair, d),
+        lambda d, pair: pc.policy_lottery(pair, d, pc.proportional_power(), pc.Shock(1.0)),
+        lambda d, pair: pc.identity_adjusted_distribution(d, pair, 0.3),
+    ], ids=["preference_gaps", "vote_share_lottery", "expected_payoff", "induced_ranking",
+            "policy_lottery", "identity_adjusted_distribution"])
+    @pytest.mark.parametrize("x_a, x_b", [([np.nan], [0.25]), ([np.inf], [np.inf])])
+    def test_nan_gaps_rejected(self, two_type, entry, x_a, x_b):
+        with pytest.raises(PreconditionError, match="preference gaps are NaN"):
+            entry(two_type, pc.PlatformPair(x_a, x_b))
+
 
 class TestVoteProbability:
     @pytest.mark.parametrize("gap,phi,expected", [
@@ -340,6 +355,13 @@ class TestVoteShareLottery:
             pair = pc.PlatformPair(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
             _, probs = pc.vote_share_lottery(dist, shock_for(dist), pair)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_equal_infinite_gaps_merge(self, two_type, unit_shock):
+        # both gaps are -inf; their difference is NaN, which must neither warn nor split them
+        shares, probs = pc.vote_share_lottery(two_type, unit_shock,
+                                              pc.PlatformPair([np.inf], [0.25]))
+        assert shares.tolist() == [1.0, 0.0]
+        assert probs.tolist() == [0.0, 1.0]
 
 
 class TestMonteCarlo:
