@@ -112,7 +112,9 @@ def identity_adjusted_distribution(dist: VoterDistribution, pair, strength: floa
         raise DimensionError("platforms and electorate disagree on dimension")
     if strength < 0.0:
         raise PreconditionError("identity strength must be nonnegative")
-    gaps = preference_gaps(p, dist)
+    gaps = preference_gaps(p, dist)     # refuses NaN platforms and equal infinite ones
+    if not (np.all(np.isfinite(p.x_a)) and np.all(np.isfinite(p.x_b))):
+        raise PreconditionError("identity shifts need finite platforms")
     gap_vec = p.x_a - p.x_b
     if not np.any(gap_vec != 0.0):
         raise PreconditionError("identity shifts need distinct platforms")

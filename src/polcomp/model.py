@@ -334,8 +334,9 @@ class ReducedPayoff:
         interior = gain[1:-1] - gain[:-2]            # pairs strictly below 0.5
         self.minority_gain_strict = bool(np.all(interior > 0.0))
         if self.has_jump:
-            # scalar calls, not grid entries: for placement-linear a vector call
-            # differs in the last bits (BLAS row sums in the Simpson matmul)
+            # scalar calls, not grid entries: for placement-linear a scalar is a
+            # 1-row Simpson product, which OpenBLAS dgemv sums in another order
+            # than a row inside one of its 4-row groups, so the last bits differ
             s_last = _GRID[_GRID_HALF - 1]
             base = float(self.evaluate(s_last) + self.evaluate(1.0 - s_last))
             lower_ok = self.half_lower * 2.0 > base

@@ -25,6 +25,9 @@ _SIMPSON_W = np.ones(2 * _SIMPSON_PANELS + 1)
 _SIMPSON_W[1:-1:2] = 4.0
 _SIMPSON_W[2:-1:2] = 2.0
 _SIMPSON_W /= 6.0 * _SIMPSON_PANELS
+# rows of schedule values per Simpson product; a multiple of the 4-row groups
+# OpenBLAS dgemv sums together, and far below its ~112-row threading cut-off
+_PLACEMENT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,35 @@ def utility_from_placements(profile: PlacementProfile) -> PowerUtility:
 
     Composite Simpson with a fixed panel count keeps results deterministic;
     the rule is exact for polynomial schedules up to cubic. Any array shape works.
+
+    The schedule is evaluated one input point at a time, on that point's
+    Simpson nodes, so it must act elementwise. The rows go into one reused
+    block, and each block is summed by one matrix-vector product. Blocks
+    hold a multiple of 4 rows, and a last block of 1-3 rows joins the one
+    before it. Each row therefore sits in the same place within OpenBLAS's
+    4-row groups as in one product over all points, taken on a single
+    thread. Every block is also too small for BLAS to split across threads,
+    so the results do not depend on the BLAS thread count, and memory stays
+    at one block whatever the input size.
     """
     q = profile.value
 
     def u(power):
         p = np.asarray(power, dtype=float)
         flat = p.reshape(-1)
-        out = flat * (np.asarray(q(flat[:, None] * _SIMPSON_X), dtype=float) @ _SIMPSON_W)
+        n = flat.size
+        out = np.empty(n)
+        block = np.empty((min(n, _PLACEMENT_BLOCK + 3), _SIMPSON_X.size))
+        start = 0
+        while start < n:
+            stop = start + _PLACEMENT_BLOCK
+            if n - stop < 4:
+                stop = n
+            for i in range(start, stop):
+                block[i - start] = q(flat[i] * _SIMPSON_X)
+            np.matmul(block[:stop - start], _SIMPSON_W, out=out[start:stop])
+            start = stop
+        out *= flat
         return out.reshape(p.shape) if p.shape else out[0]
 
     return PowerUtility(u, total=profile.total_power, description="placements")

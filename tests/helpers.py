@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import polcomp as pc
 from polcomp.equilibrium1d import equilibrium_weights
 from polcomp.equilibriumkd import SYMMETRY_TOL
 from polcomp.model import _sorted_gap_lottery
+from polcomp.payoffs import _SIMPSON_W, _SIMPSON_X
 
 
 def grid_best_response(dist, nu, shock, opponent, n_points=10_000):
@@ -345,3 +347,41 @@ def oracle_monte_carlo_payoff(dist, nu, shock, pair, party="A", n_draws=100_000,
     idx = np.searchsorted(g, eps, side="left")
     values = np.asarray(nu.evaluate(tails), dtype=float)
     return float(values[idx].mean())
+
+
+# value schedules for the placement-utility bit checks: the preset's, a
+# transcendental one, and one whose slope is not a power of two
+PLACEMENT_SCHEDULES = {
+    "linear": lambda k: 2.0 - 2.0 * k,
+    "exp": lambda k: np.exp(-k),
+    "affine": lambda k: 3.0 - 1.3 * k,
+}
+
+
+def oracle_placement_utility(q, power):
+    """Placement utility as one Simpson product over every input point at once."""
+    p = np.asarray(power, dtype=float)
+    flat = p.reshape(-1)
+    out = flat * (np.asarray(q(flat[:, None] * _SIMPSON_X), dtype=float) @ _SIMPSON_W)
+    return out.reshape(p.shape) if p.shape else out[0]
+
+
+def placement_points(shape):
+    """Seeded powers in [0, 1] of the given shape."""
+    return np.random.default_rng([7, *shape]).uniform(0.0, 1.0, shape)
+
+
+def placement_bit_digests(shapes, oracle=True):
+    """SHA-256 of the kernel's (and the oracle's) float64 bits, per schedule and shape."""
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+    out = {}
+    for name, q in PLACEMENT_SCHEDULES.items():
+        u = pc.utility_from_placements(pc.PlacementProfile(q, capacity=1.0))
+        for shape in map(tuple, shapes):
+            x = placement_points(shape)
+            case = out[f"{name} {shape}"] = {"kernel": digest(u.evaluate(x))}
+            if oracle:
+                case["oracle"] = digest(oracle_placement_utility(q, x))
+    return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ class TestIdentityShift:
         with pytest.raises(PreconditionError):
             pc.identity_adjusted_distribution(two_type_2d,
                                               pc.PlatformPair([0.5, 0.5], [0.5, 0.5]), 0.4)
+
+    @pytest.mark.parametrize("strength", [0.0, 0.2])
+    @pytest.mark.parametrize("x_a, x_b", [([np.inf], [0.25]), ([0.25], [-np.inf])])
+    def test_non_finite_platform_rejected(self, two_type, x_a, x_b, strength):
+        pair = pc.PlatformPair(x_a, x_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="identity shifts need finite platforms"):
+                pc.identity_adjusted_distribution(two_type, pair, strength)
 
     def test_shift_is_directional_spread_and_raises_payoff(self, two_type_2d,
                                                            nu_quadratic):

@@ -1,8 +1,22 @@
+import functools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import polcomp as pc
 from polcomp.errors import PreconditionError
+from polcomp.payoffs import _PLACEMENT_BLOCK
+
+from helpers import (PLACEMENT_SCHEDULES, oracle_placement_utility, placement_bit_digests,
+                     placement_points)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPlacements:
@@ -219,3 +233,90 @@ class TestPlacementShapes:
         u = pc.utility_preset("placement-linear")
         assert isinstance(u.evaluate(0.3), float)
         assert u.evaluate(np.array([0.3]))[0] == u.evaluate(0.3)
+
+
+# from ~112 rows of Simpson nodes on, OpenBLAS may split one product across threads
+THREADED_SHAPES = [(n,) for n in range(113, 301)] + [(999,), (1001,), (2049,), (129, 3)]
+_DIGEST_SCRIPT = ("import json, sys\n"
+                  "from helpers import placement_bit_digests\n"
+                  "print(json.dumps(placement_bit_digests(json.loads(sys.argv[1]),\n"
+                  "                                       oracle=sys.argv[2] == '1')))")
+
+
+@functools.cache
+def _digests_at(blas_threads):
+    """placement_bit_digests(THREADED_SHAPES) in a fresh process with that many BLAS threads.
+
+    The oracle runs at one thread only, where it gives the bits the benchmark records.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    argv = [sys.executable, "-c", _DIGEST_SCRIPT, json.dumps(THREADED_SHAPES), str(blas_threads)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600, check=True)
+    return json.loads(proc.stdout)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestPlacementKernelBits:
+    """The blocked placement utility gives the single-product formula's bits."""
+
+    @pytest.mark.parametrize("name", sorted(PLACEMENT_SCHEDULES))
+    def test_unthreaded_sizes(self, name):
+        q = PLACEMENT_SCHEDULES[name]
+        u = pc.utility_from_placements(pc.PlacementProfile(q, capacity=1.0))
+        tails = [(_PLACEMENT_BLOCK + r,) for r in (1, 2, 3)]
+        differ = []
+        for shape in [(n,) for n in range(1, 113)] + tails + [(2, 2), ()]:
+            x = placement_points(shape)
+            got = u.evaluate(x)
+            assert np.shape(got) == shape
+            if not np.array_equal(_bits(got), _bits(oracle_placement_utility(q, x))):
+                differ.append(shape)
+        assert differ == []
+
+    @pytest.mark.parametrize("name", sorted(PLACEMENT_SCHEDULES))
+    def test_scalars(self, name):
+        q = PLACEMENT_SCHEDULES[name]
+        u = pc.utility_from_placements(pc.PlacementProfile(q, capacity=1.0))
+        for x in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            assert float.hex(u.evaluate(x)) == float.hex(float(oracle_placement_utility(q, x)))
+
+    def test_single_blas_thread_matches_oracle(self):
+        digests = _digests_at(1)
+        assert len(digests) == len(PLACEMENT_SCHEDULES) * len(THREADED_SHAPES)
+        assert [case for case, d in digests.items() if d["kernel"] != d["oracle"]] == []
+
+    def test_two_blas_threads_give_single_thread_bits(self):
+        one, two = _digests_at(1), _digests_at(2)
+        assert [case for case in one if two[case]["kernel"] != one[case]["kernel"]] == []
+
+
+class TestPlacementMemory:
+    """Peak allocation is one block of Simpson rows, whatever the input size."""
+
+    def test_preset_build_peak(self):
+        tracemalloc.start()
+        try:
+            pc.payoff_preset("placement-linear")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_evaluate_peak(self):
+        u = pc.utility_preset("placement-linear")
+        # 2000 points first: a kernel holding n × 4097 temporaries fails there at
+        # ~0.2 GB instead of asking for ~10 GB at 10^5 points
+        for n in (2_000, 100_000):
+            x = np.linspace(0.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                out = u.evaluate(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, n
+            assert np.allclose(out, 2.0 * x - x * x, rtol=0.0, atol=1e-12)
