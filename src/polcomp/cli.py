@@ -24,7 +24,7 @@ Scenario files are strict JSON; unknown keys are rejected anywhere::
                  "majority_premium": 0.0,    # optional
                  "normalize": true},         # optional
       "shock": {"half_width": 1.0},
-      "seed": 0,                             # optional
+      "seed": 0,                             # optional, >= 0
       "task": {...}                          # per-subcommand block
     }
 
@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,6 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-SUBCOMMANDS = ("eq1d", "eqkd", "classify", "spread", "dspread", "welfare",
-               "premium-sweep", "info", "dynamics", "validate")
-
 
 class SchemaError(PolcompError, ValueError):
     """The scenario file violates the documented schema."""
@@ -92,10 +90,6 @@ class SchemaError(PolcompError, ValueError):
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _to_json(obj, indent=0) -> str:
@@ -117,7 +111,7 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InternalConsistencyError(f"cannot serialize {type(obj).__name__}")
@@ -129,16 +123,7 @@ def _write_json(path: Path, record: dict):
 
 def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(_fmt(cell))
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines += [",".join(c if isinstance(c, str) else _to_json(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -158,11 +143,31 @@ def _expect(block, where, required=(), optional=()):
     return block
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(block, key, where):
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(block[key]):
         raise SchemaError(f"{where}.{key} must be a number")
-    return float(v)
+    return float(block[key])
+
+
+def _integer(value, name, minimum, noun=None):
+    """``value`` as an int >= ``minimum``; with ``noun``, one message for both rules."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be {noun or 'an integer'}")
+    if value < minimum:
+        raise SchemaError(f"{name} must be {noun or f'at least {minimum}'}")
+    return value
+
+
+def _numbers(value, name, noun, size=None):
+    """``value`` as a non-empty list of floats, of length ``size`` when given."""
+    if (not isinstance(value, list) or not value or size not in (None, len(value))
+            or not all(map(_is_number, value))):
+        raise SchemaError(f"{name} must be {noun}")
+    return [float(v) for v in value]
 
 
 def _parse_distribution(block, where="distribution") -> model.VoterDistribution:
@@ -174,12 +179,8 @@ def _parse_distribution(block, where="distribution") -> model.VoterDistribution:
     for i, t in enumerate(types):
         _expect(t, f"{where}.types[{i}]", required=("bliss", "share"), optional=("label",))
         b = t["bliss"]
-        if isinstance(b, (int, float)) and not isinstance(b, bool):
-            b = [b]
-        if (not isinstance(b, list) or not b
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in b)):
-            raise SchemaError(f"{where}.types[{i}].bliss must be a number or list of numbers")
-        bliss.append([float(c) for c in b])
+        bliss.append(_numbers(b if isinstance(b, list) else [b], f"{where}.types[{i}].bliss",
+                              "a number or list of numbers"))
         shares.append(_number(t, "share", f"{where}.types[{i}]"))
         labels.append(t.get("label", f"type{i}"))
     if len({len(b) for b in bliss}) != 1:
@@ -187,12 +188,7 @@ def _parse_distribution(block, where="distribution") -> model.VoterDistribution:
     return model.VoterDistribution(np.array(bliss), np.array(shares), labels)
 
 
-class PayoffBundle:
-    def __init__(self, nu, utility, power, total):
-        self.nu = nu
-        self.utility = utility
-        self.power = power
-        self.total = total
+PayoffBundle = namedtuple("PayoffBundle", "nu utility power total")
 
 
 def _parse_payoff(block) -> PayoffBundle:
@@ -228,6 +224,8 @@ def _parse_payoff(block) -> PayoffBundle:
     params = block.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("payoff.params must be an object")
+    for key in params:      # checked, not converted: "insiders" 3 stays "n=3" in provenance
+        _number(params, key, "payoff.params")
     name = block["preset"]
     if not isinstance(name, str):
         raise SchemaError("payoff.preset must be a string")
@@ -248,9 +246,7 @@ def _parse_shock(block) -> model.Shock:
 def _parse_scenario(raw: dict):
     _expect(raw, "scenario", required=("distribution", "payoff", "shock"),
             optional=("seed", "task"))
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("seed must be an integer")
+    seed = _integer(raw.get("seed", 0), "seed", 0)
     task = raw.get("task", {})
     if not isinstance(task, dict):
         raise SchemaError("task must be an object")
@@ -259,7 +255,8 @@ def _parse_scenario(raw: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (record, {csv_name: (header, rows)})
+# subcommand implementations; each returns
+# (record, {csv_name: (header, rows)}, *failure messages)
 
 
 def _scatter_rows(dist, report):
@@ -285,9 +282,8 @@ def _cmd_eq1d(dist, bundle, shock, seed, task):
         "type_order": [int(i) for i in eq.order],
     }
     if "monte_carlo_draws" in task:
-        draws = task["monte_carlo_draws"]
-        if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1:
-            raise SchemaError("task.monte_carlo_draws must be a positive integer")
+        draws = _integer(task["monte_carlo_draws"], "task.monte_carlo_draws", 1,
+                         "a positive integer")
         record["monte_carlo_payoff"] = model.monte_carlo_payoff(
             dist, bundle.nu, shock, eq.pair, "A", n_draws=draws, seed=seed)
         record["monte_carlo_draws"] = draws
@@ -361,11 +357,9 @@ def _cmd_welfare(dist, bundle, shock, seed, task):
     if bundle.power is None:
         raise PreconditionError("welfare requires a payoff with a power map (use a preset)")
     if "platforms" in task:
-        pl = task["platforms"]
-        if (not isinstance(pl, list) or len(pl) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pl)):
-            raise SchemaError("task.platforms must be a list of two numbers [x_a, x_b]")
-        pair = model.PlatformPair([float(pl[0])], [float(pl[1])])
+        x_a, x_b = _numbers(task["platforms"], "task.platforms",
+                            "a list of two numbers [x_a, x_b]", size=2)
+        pair = model.PlatformPair([x_a], [x_b])
     else:
         eq = eq1d.equilibrium_1d(dist, bundle.nu, shock)
         pair = eq.pair
@@ -382,10 +376,7 @@ def _cmd_welfare(dist, bundle, shock, seed, task):
 
 def _cmd_premium_sweep(dist, bundle, shock, seed, task):
     _expect(task, "task", required=("premiums",))
-    prem = task["premiums"]
-    if (not isinstance(prem, list) or not prem
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in prem)):
-        raise SchemaError("task.premiums must be a non-empty list of numbers")
+    prem = _numbers(task["premiums"], "task.premiums", "a non-empty list of numbers")
     if bundle.utility is None:
         raise PreconditionError("premium sweep requires a utility preset payoff")
     sweep = welf.premium_sweep(dist, bundle.utility, bundle.total, prem, shock)
@@ -415,9 +406,7 @@ def _cmd_info(dist, bundle, shock, seed, task):
 
 def _cmd_dynamics(dist, bundle, shock, seed, task):
     _expect(task, "task", required=("gap", "theta_high", "theta_low", "cost", "horizon"))
-    horizon = task["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
-        raise SchemaError("task.horizon must be a nonnegative integer")
+    horizon = _integer(task["horizon"], "task.horizon", 0, "a nonnegative integer")
     params = apps.FeedbackParams(
         gap=_number(task, "gap", "task"),
         theta_high=_number(task, "theta_high", "task"),
@@ -463,7 +452,30 @@ def _cmd_validate(dist, bundle, shock, seed, task):
             "(equal vote-share gains are worth no more to the trailing party)")
     if not support.ok:
         failures.append(support.message)
-    return record, {}, failures
+    return (record, {}, *failures)
+
+
+# every subcommand, in the order help and docs list them: its handler and the
+# keys its result record must carry
+_COMMANDS = {
+    "eq1d": (_cmd_eq1d, "x_low x_high distance payoff x_risk_neutral median diverse "
+                        "weights_low weights_high type_order"),
+    "eqkd": (_cmd_eqkd, "max_sq_distance payoff n_local_equilibria n_party_preferred "
+                        "party_preferred"),
+    "classify": (_cmd_classify, "stances"),
+    "spread": (_cmd_spread, "base_payoff candidate_payoff base_distance candidate_distance"),
+    "dspread": (_cmd_dspread, "base_payoff candidate_payoff base_sq_distance "
+                              "candidate_sq_distance direction"),
+    "welfare": (_cmd_welfare, "x_a x_b welfare first_best bias_sq variance x_optimum "
+                              "mean_policy outcomes probabilities"),
+    "premium-sweep": (_cmd_premium_sweep, "median median_share limit_assertions rows"),
+    "info": (_cmd_info, "x_high x_low separation separation_coefficient "
+                        "common_interest_welfare_gain"),
+    "dynamics": (_cmd_dynamics, "regime growth_ratio separation_coefficient self_reinforcing "
+                                "initial_platform_gap final_platform_gap limit_gap"),
+    "validate": (_cmd_validate, "checks"),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +496,12 @@ def run(subcommand: str, scenario: dict, out_dir, fmt: str = "json", threads: in
         raise SchemaError(f"unknown format {fmt!r}")
     dist, bundle, shock, seed, task = _parse_scenario(scenario)
     if seed_override is not None:
-        seed = int(seed_override)
+        seed = _integer(seed_override, "--seed", 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    failures = []
-    if subcommand == "validate":
-        record, csvs, failures = _cmd_validate(dist, bundle, shock, seed, task)
-    else:
-        handler = {
-            "eq1d": _cmd_eq1d, "eqkd": _cmd_eqkd, "classify": _cmd_classify,
-            "spread": _cmd_spread, "dspread": _cmd_dspread, "welfare": _cmd_welfare,
-            "premium-sweep": _cmd_premium_sweep, "info": _cmd_info,
-            "dynamics": _cmd_dynamics,
-        }[subcommand]
-        record, csvs = handler(dist, bundle, shock, seed, task)
-
+    handler, _ = _COMMANDS[subcommand]
+    record, csvs, *failures = handler(dist, bundle, shock, seed, task)
     full = {"subcommand": subcommand, "seed": seed, "result": record}
     _write_json(out / f"{subcommand}.json", full)
     if fmt in ("csv", "both"):
@@ -522,25 +524,8 @@ def validate_result_record(record: dict) -> None:
         raise SchemaError("seed must be an integer")
     if not isinstance(record["result"], dict):
         raise SchemaError("result must be an object")
-    required = {
-        "eq1d": {"x_low", "x_high", "distance", "payoff", "x_risk_neutral", "median",
-                 "diverse", "weights_low", "weights_high", "type_order"},
-        "eqkd": {"max_sq_distance", "payoff", "n_local_equilibria", "n_party_preferred",
-                 "party_preferred"},
-        "classify": {"stances"},
-        "spread": {"base_payoff", "candidate_payoff", "base_distance", "candidate_distance"},
-        "dspread": {"base_payoff", "candidate_payoff", "base_sq_distance",
-                    "candidate_sq_distance", "direction"},
-        "welfare": {"x_a", "x_b", "welfare", "first_best", "bias_sq", "variance",
-                    "x_optimum", "mean_policy", "outcomes", "probabilities"},
-        "premium-sweep": {"median", "median_share", "limit_assertions", "rows"},
-        "info": {"x_high", "x_low", "separation", "separation_coefficient",
-                 "common_interest_welfare_gain"},
-        "dynamics": {"regime", "growth_ratio", "separation_coefficient", "self_reinforcing",
-                     "initial_platform_gap", "final_platform_gap", "limit_gap"},
-        "validate": {"checks"},
-    }[record["subcommand"]]
-    missing = required - set(record["result"])
+    _, keys = _COMMANDS[record["subcommand"]]
+    missing = set(keys.split()) - set(record["result"])
     if missing:
         raise SchemaError(f"result record missing keys: {sorted(missing)}")
 

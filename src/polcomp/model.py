@@ -190,22 +190,22 @@ class PowerMap:
     """Mapping from vote share to political power.
 
     Strictly increasing and constant-sum: rho(s) + rho(1 - s) == total.
-    A jump of size ``jump`` at s = 1/2 models a majority premium; the
-    one-sided limits there are kept explicitly so payoff increments across
-    the threshold stay unambiguous.
+    A jump at s = 1/2 models a majority premium. Its one-sided limits
+    ``half_lower`` and ``half_upper`` (both rho(1/2) when not given) are kept
+    explicitly so payoff increments across the threshold stay unambiguous;
+    ``jump`` is their difference.
     """
 
-    def __init__(self, total, func, jump=0.0, half_lower=None, half_upper=None,
-                 description="custom"):
+    def __init__(self, total, func, half_lower=None, half_upper=None, description="custom"):
         if not total > 0.0:
             raise PreconditionError("total power must be positive")
         self.total = float(total)
         self._func = func
-        self.jump = float(jump)
         vals = self.evaluate(_GRID)
         mid = float(vals[_GRID_HALF])
         self.half_lower = mid if half_lower is None else float(half_lower)
         self.half_upper = mid if half_upper is None else float(half_upper)
+        self.jump = self.half_upper - self.half_lower
         self.description = description
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("power map must be finite on the validation grid")
@@ -267,6 +267,11 @@ class ReducedPayoff:
     full swing from losing every voter to winning every voter is worth
     exactly one unit.
 
+    A callable given alone must be strictly increasing on the validation
+    grid. A composed payoff, one given with its ``power_map``, is strictly
+    increasing because its validated factors are; its grid values may only
+    plateau where increments fall below machine resolution.
+
     Diagnostics recorded on construction (never raised here):
 
     - ``minority_gain_strict``: winning extra support is strictly more
@@ -279,7 +284,7 @@ class ReducedPayoff:
     """
 
     def __init__(self, func, *, normalize=True, provenance="direct", power_map=None,
-                 half_lower_raw=None, half_upper_raw=None, assume_monotone=False):
+                 half_lower_raw=None, half_upper_raw=None):
         # one evaluation of the grid; its ends give the normalization
         raw = np.asarray(func(unit_clamp(_GRID)), dtype=float)
         raw0 = float(raw[0])
@@ -300,10 +305,7 @@ class ReducedPayoff:
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("reduced payoff must be finite on the validation grid")
         diffs = vals[1:] - vals[:-1]
-        if assume_monotone:
-            # strictness already guaranteed by the validated factors; the grid
-            # only guards against float-level decreases (values can plateau
-            # where increments fall below machine resolution)
+        if power_map is not None:     # composed: see the class docstring
             if np.any(diffs < -1e-15) or vals[-1] <= vals[0]:
                 raise PreconditionError("reduced payoff decreases on the validation grid")
         elif np.any(diffs <= 0.0):

@@ -163,8 +163,7 @@ def majority_premium_power(total: float, premium: float) -> PowerMap:
         np.add(v, premium, out=out, where=s > 0.5)
         return out
 
-    return PowerMap(total, rho, jump=premium,
-                    half_lower=slope * 0.5, half_upper=slope * 0.5 + premium,
+    return PowerMap(total, rho, half_lower=slope * 0.5, half_upper=slope * 0.5 + premium,
                     description=f"proportional with premium {premium:g}")
 
 
@@ -194,7 +193,6 @@ def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
         power_map=power,
         half_lower_raw=utility.evaluate(power.half_lower),
         half_upper_raw=utility.evaluate(power.half_upper),
-        assume_monotone=True,
     )
 
 

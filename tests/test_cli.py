@@ -130,13 +130,80 @@ class TestSchemaHandling:
         with pytest.raises(SchemaError):
             run("eq1d", base_scenario(), tmp_path, fmt="yaml")
 
+    @pytest.mark.parametrize("subcommand,where,value,message", [
+        ("eq1d", "distribution.types.0.share", True, "distribution.types[0].share must be a number"),
+        ("eq1d", "distribution.types.0.bliss", [True],
+         "distribution.types[0].bliss must be a number or list of numbers"),
+        ("eq1d", "distribution.types.1.bliss", [1.0, 0.0],
+         "all bliss points in distribution must share one dimension"),
+        ("eq1d", "seed", True, "seed must be an integer"),
+        ("eq1d", "seed", 1.5, "seed must be an integer"),
+        ("eq1d", "task.monte_carlo_draws", 0, "task.monte_carlo_draws must be a positive integer"),
+        ("eq1d", "task.monte_carlo_draws", True,
+         "task.monte_carlo_draws must be a positive integer"),
+        ("dynamics", "task.horizon", -1, "task.horizon must be a nonnegative integer"),
+        ("welfare", "task.platforms", [0.0, 0.5, 1.0],
+         "task.platforms must be a list of two numbers [x_a, x_b]"),
+        ("premium-sweep", "task.premiums", [], "task.premiums must be a non-empty list of numbers"),
+        ("eq1d", "payoff.normalize", 1, "payoff.normalize must be a boolean"),
+        ("eq1d", "payoff", {"direct": {"kind": "power", "exponent": 0}},
+         "payoff.direct.exponent must lie in (0, 1]"),
+        ("eq1d", "payoff", {"direct": {"kind": "power", "exponent": 1.5}},
+         "payoff.direct.exponent must lie in (0, 1]"),
+        ("eq1d", "payoff", {"direct": {"kind": "cubic"}}, "unknown direct payoff kind 'cubic'"),
+    ])
+    def test_type_rules_exit_two(self, tmp_path, capsys, subcommand, where, value, message):
+        scenario = base_scenario()
+        if subcommand == "dynamics":
+            scenario["task"] = dict(gap=1.0, theta_high=0.4, theta_low=0.2, cost=0.01, horizon=2)
+        *parents, key = where.split(".")
+        block = scenario
+        for p in parents:
+            block = block[int(p)] if p.isdigit() else block[p]
+        block[key] = value
+        path = write_scenario(tmp_path, scenario)
+        assert main([subcommand, "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / f"{subcommand}.json").exists()
+
+    @pytest.mark.parametrize("seed,flag", [(-1, []), (7, ["--seed", "-3"])])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, seed, flag):
+        scenario = base_scenario(monte_carlo_draws=100)
+        scenario["seed"] = seed
+        path = write_scenario(tmp_path, scenario)
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)] + flag) == 2
+        name = "--seed" if flag else "seed"
+        assert capsys.readouterr().err == f"error: {name} must be at least 0\n"
+
+    @pytest.mark.parametrize("preset,params", [
+        ("sqrt-sharing", {"insiders": True}),
+        ("sqrt-sharing", {"insiders": "3"}),
+        ("placement-linear", {"intercept": True}),
+        ("placement-linear", {"capacity": True}),
+    ])
+    def test_non_number_payoff_params_exit_two(self, tmp_path, capsys, preset, params):
+        scenario = base_scenario()
+        scenario["payoff"] = {"preset": preset, "params": params}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)]) == 2
+        key, = params
+        assert capsys.readouterr().err == f"error: payoff.params.{key} must be a number\n"
+
+    def test_fractional_insiders_exit_three(self, tmp_path, capsys):
+        scenario = base_scenario()
+        scenario["payoff"] = {"preset": "sqrt-sharing", "params": {"insiders": 2.5}}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: insider count must be an integer >= 1\n"
+
 
 class TestInternalErrorHandling:
     def test_unexpected_exception_exit_four(self, tmp_path, monkeypatch, capsys):
         def broken(*args):
             raise ValueError("operands could not be broadcast")
 
-        monkeypatch.setattr(cli, "_cmd_info", broken)
+        _, keys = cli._COMMANDS["info"]
+        monkeypatch.setitem(cli._COMMANDS, "info", (broken, keys))
         path = write_scenario(tmp_path, base_scenario(
             salience=0.6, prior_common=0.5, prior_conflict=0.5, posterior_conflict=1.0))
         assert main(["info", "--scenario", path, "--out", str(tmp_path)]) == 4

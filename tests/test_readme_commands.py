@@ -1,4 +1,5 @@
-"""Every ``polcomp`` command in README's "Command line" block exits 0."""
+"""Every ``polcomp`` command in README's "Command line" block exits 0, and README
+and the ``cli`` docstring name every subcommand."""
 
 import re
 import shlex
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from polcomp.cli import main
+from polcomp import cli
+from polcomp.cli import SUBCOMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +22,14 @@ def _readme_commands():
 
 def test_readme_lists_commands():
     assert len(_readme_commands()) >= 8
+
+
+def test_readme_and_docstring_list_every_subcommand_in_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Subcommands:", 1)[1].split(". ", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == SUBCOMMANDS
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split(".\n", 1)[0]
+    assert tuple(name.strip() for name in listed.split(",")) == SUBCOMMANDS
 
 
 @pytest.mark.parametrize("command", _readme_commands())
