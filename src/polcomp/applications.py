@@ -11,6 +11,7 @@ produces geometric growth of both voter and platform gaps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +190,8 @@ def polarization_feedback_trajectory(params: FeedbackParams) -> FeedbackTrajecto
     two-type equilibrium turns the new voter gap into a platform gap via
     the separation coefficient. The simulated gap must match the geometric
     partial sum within ``FEEDBACK_TOL`` (relative, floored at one) every
-    period.
+    period. Raises ``PreconditionError`` at the first period where either
+    gap is not finite.
     """
     g = params.separation
     theta = params.theta_high
@@ -199,12 +201,15 @@ def polarization_feedback_trajectory(params: FeedbackParams) -> FeedbackTrajecto
     platform_gap = g * voter_gap
     closed = platform_gap
     power = 1.0
-    records.append(FeedbackRecord(0, voter_gap, platform_gap, closed))
-    for t in range(1, params.horizon + 1):
-        voter_gap = params.gap + 2.0 * theta * platform_gap
-        platform_gap = g * voter_gap
-        power *= ratio
-        closed = closed + g * params.gap * power
+    for t in range(params.horizon + 1):
+        if t:
+            voter_gap = params.gap + 2.0 * theta * platform_gap
+            platform_gap = g * voter_gap
+            power *= ratio
+            closed = closed + g * params.gap * power
+        if not (math.isfinite(platform_gap) and math.isfinite(closed)):
+            raise PreconditionError(
+                f"platform gap leaves the floating-point range at period {t}")
         if abs(platform_gap - closed) > FEEDBACK_TOL * max(1.0, abs(closed)):
             raise InternalConsistencyError(
                 f"simulated gap {platform_gap:.17g} deviates from the geometric "

@@ -9,11 +9,14 @@ Subcommands: eq1d, eqkd, classify, spread, dspread, welfare,
 premium-sweep, info, dynamics, validate.
 
 Exit codes: 0 success, 2 schema violation, 3 model precondition failure,
-4 internal consistency failure or any other unexpected error.
+4 internal consistency failure or any other unexpected error. No record is
+written with an infinite or NaN number: that is an internal error.
 
 ``--threads N`` (N >= 1) is accepted but has no effect: sweep rows run sequentially.
 
-Scenario files are strict JSON; unknown keys are rejected anywhere::
+Scenario files are strict JSON; unknown keys are rejected anywhere. A
+type's ``label`` must be a string (default ``type<i>``, its index), and
+the labels of one electorate, defaults included, must be distinct::
 
     {
       "distribution": {"types": [{"bliss": [0.0], "share": 0.5,
@@ -38,7 +41,9 @@ dspread {"candidate": {...}}; welfare {"platforms": [a, b]?};
 premium-sweep {"premiums": [...]}; info {"salience", "prior_common",
 "prior_conflict", "posterior_conflict"}; dynamics {"gap", "theta_high",
 "theta_low", "cost", "horizon"}; validate ignores the task block (it
-belongs to whichever subcommand will consume the scenario). validate's
+belongs to whichever subcommand will consume the scenario). dynamics
+exits 3 when a platform gap leaves the floating-point range, naming the
+period. validate's
 ``checks.shares_valid`` is always true: invalid or non-finite shares exit 3
 while the scenario is parsed, before any record is written.
 
@@ -65,8 +70,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +117,8 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise InternalConsistencyError(f"cannot serialize the non-finite number {obj}")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -183,8 +191,13 @@ def _parse_distribution(block, where="distribution") -> model.VoterDistribution:
                               "a number or list of numbers"))
         shares.append(_number(t, "share", f"{where}.types[{i}]"))
         labels.append(t.get("label", f"type{i}"))
+        if not isinstance(labels[-1], str):
+            raise SchemaError(f"{where}.types[{i}].label must be a string")
     if len({len(b) for b in bliss}) != 1:
         raise SchemaError(f"all bliss points in {where} must share one dimension")
+    if len(set(labels)) != len(labels):
+        repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
+        raise SchemaError(f"repeated labels in {where}.types: {repeated}")
     return model.VoterDistribution(np.array(bliss), np.array(shares), labels)
 
 

@@ -12,19 +12,12 @@ The module also classifies which voter groups a party gains from
 attracting or alienating, computes exact payoff gradients in bliss points,
 and orders electorates by outward shifts of the two median-conditional
 distributions (spreads), under which equilibrium payoffs strictly rise.
-
-One verified solve is kept per electorate, keyed on the payoff object and
-the shock, so the per-type questions (``classify_group``,
-``payoff_gradient``) cost one solve for the whole electorate rather than
-one each. This relies on ``VoterDistribution`` and ``ReducedPayoff`` being
-immutable after construction, as documented in ``model``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +28,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _read_only,
     distance_payoff,
     unit_clamp,
     vote_share_lottery,
@@ -52,12 +46,6 @@ class Equilibrium1D:
     positions back to the caller's type indices. ``diverse`` is False only
     for the degenerate single-type electorate, where both platforms sit on
     the unique bliss point.
-
-    ``lottery`` is party A's vote-share lottery at ``pair``, the read-only
-    ``(shares, probabilities)`` of ``vote_share_lottery``. A checked solve
-    integrates the payoff identity from it and keeps it, so callers that
-    need the same lottery (``welfare.premium_sweep``) do not build it again.
-    It is None on a record from ``check=False``.
     """
 
     x_low: float
@@ -69,20 +57,17 @@ class Equilibrium1D:
     median: float
     order: np.ndarray
     diverse: bool = True
-    lottery = None          # not a field: set once by a checked solve
 
     def __post_init__(self):
         # one record may be handed to many callers (see equilibrium_1d)
-        for a in (self.weights_low, self.weights_high, self.order):
-            a.setflags(write=False)
+        _read_only(self.weights_low, self.weights_high, self.order)
 
     @functools.cached_property
     def position(self) -> np.ndarray:
         """Sorted position of each type index: the inverse permutation of ``order``."""
         pos = np.empty_like(self.order)
         pos[self.order] = np.arange(len(self.order))
-        pos.setflags(write=False)
-        return pos
+        return _read_only(pos)
 
     @property
     def distance(self) -> float:
@@ -155,11 +140,6 @@ def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
     return w_low, w_high
 
 
-# Last verified solve of each live electorate: dist -> (nu, shock, eq).
-# Weak keys, so a collected electorate frees its entry.
-_SOLVED = weakref.WeakKeyDictionary()
-
-
 def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
                    check: bool = True) -> Equilibrium1D:
     """Closed-form unidimensional equilibrium.
@@ -172,21 +152,17 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     output for boundary inputs (e.g. a linear payoff collapses both
     platforms onto one point).
 
-    One verified solve is kept per electorate: a checked call with the
-    same ``nu`` object and an equal ``Shock`` as that electorate's last
-    verified solve returns the same read-only record without solving or
-    checking again. This relies on ``VoterDistribution`` and
-    ``ReducedPayoff`` being immutable. A failing check stores nothing, and
-    ``check=False`` neither reads nor replaces the stored solve.
+    The electorate keeps its latest verified solve: a checked call with the
+    same ``nu`` object and an equal ``Shock`` returns the same read-only
+    record without solving or checking again, so the per-type questions
+    (``classify_group``, ``payoff_gradient``) cost one solve for the whole
+    electorate. A failing check stores nothing, and ``check=False`` neither
+    reads nor replaces the stored solve.
     """
     if not check:
         return _solve(dist, nu, shock, check=False)
-    hit = _SOLVED.get(dist)
-    if hit is not None and hit[0] is nu and hit[1] == shock:
-        return hit[2]
-    eq = _solve(dist, nu, shock, check=True)
-    _SOLVED[dist] = (nu, shock, eq)
-    return eq
+    return dist._derived("equilibrium_1d", lambda: _solve(dist, nu, shock, check=True),
+                         nu, shock)
 
 
 def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -213,13 +189,8 @@ def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
         eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
                            payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
                            x_risk_neutral=x_rn, median=median, order=order)
-    if check:
-        lottery = vote_share_lottery(dist, shock, eq.pair)
-        for a in lottery:
-            a.setflags(write=False)
-        if eq.diverse:
-            _verify_equilibrium(eq, nu, x, lottery)
-        object.__setattr__(eq, "lottery", lottery)
+    if check and eq.diverse:
+        _verify_equilibrium(eq, nu, x, vote_share_lottery(dist, shock, eq.pair))
     return eq
 
 

@@ -22,8 +22,7 @@ Enumeration, the best-response candidate set and single rankings all go
 through one batched ranking table: every ranking is a row of an (M, n)
 index array, the payoff is evaluated once per distinct head or tail share
 sum, and platforms and the self-consistency check are computed for all
-rows at once. Each live electorate keeps its rows, and its table for the
-last payoff object, so repeated calls on one electorate build them once.
+rows at once.
 
 Directional spreads order multidimensional electorates by projecting onto
 a direction (typically the equilibrium separation axis) and applying the
@@ -35,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +44,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _read_only,
     _sorted_gap_lottery,
     as_pair,
     distance_payoff,
@@ -63,15 +62,24 @@ SYMMETRY_TOL = 1e-9         # mirror images match within this, coordinates and s
 _PAYOFF_TIE_TOL = 1e-12
 
 
+def _rises(gaps) -> np.ndarray:
+    """Whether every step along the last axis of ``gaps`` is at least ``RANK_TOL``.
+
+    A step between equal infinite gaps is NaN, so it is no rise.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.all(np.diff(gaps, axis=-1) >= RANK_TOL, axis=-1)
+
+
 def induced_ranking(pair, dist: VoterDistribution):
     """Strict order of types by preference gap, least A-leaning first.
 
     Returns None when two types are closer than ``RANK_TOL`` in preference
-    gap: tied profiles induce no strict ranking.
+    gap: tied profiles induce no strict ranking. Equal infinite gaps tie too.
     """
     gaps = preference_gaps(pair, dist)
     order = np.argsort(gaps, kind="stable")
-    if np.any(np.diff(gaps[order]) < RANK_TOL):
+    if not _rises(gaps[order]):
         return None
     return tuple(int(i) for i in order)
 
@@ -94,9 +102,8 @@ def platforms_for_ranking(ranking, dist: VoterDistribution, nu: ReducedPayoff) -
 def _permutations(n: int) -> np.ndarray:
     """Read-only (n!, n) array of every permutation of range(n), lexicographically."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
-    perms.setflags(write=False)
-    return perms
+    return _read_only(np.fromiter(flat, dtype=np.intp,
+                                  count=n * math.factorial(n)).reshape(-1, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,9 +115,7 @@ def _flip_weights(rank: int) -> np.ndarray:
     sum of all lower powers).
     """
     flips = np.array(list(itertools.product((1.0, -1.0), repeat=rank)))
-    weights = (flips * 3.0 ** np.arange(rank - 1, -1, -1)).T
-    weights.setflags(write=False)
-    return weights
+    return _read_only((flips * 3.0 ** np.arange(rank - 1, -1, -1)).T)
 
 
 def _flag_levels(unit: np.ndarray) -> np.ndarray:
@@ -201,9 +206,7 @@ def _realizable_rankings(bliss: np.ndarray) -> np.ndarray:
         return _permutations(n)
     rows = np.argsort(position, axis=1)
     rows = rows[np.lexsort(rows.T[::-1])]
-    rows = rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
-    rows.setflags(write=False)
-    return rows
+    return _read_only(rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))])
 
 
 def _nu_on_distinct(nu: ReducedPayoff, shares: np.ndarray) -> np.ndarray:
@@ -246,38 +249,24 @@ def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff
 def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
     """Mask of rows whose pair (high for A, low for B) induces exactly that row.
 
-    The same comparisons as ``induced_ranking``, made for every row at once.
+    The rule of ``induced_ranking``, made for every row at once: a row's
+    gaps, taken in its order, must rise by at least ``RANK_TOL`` at each step.
     """
     d_b = np.sum((dist.bliss - low[:, None, :]) ** 2, axis=2)
     d_a = np.sum((dist.bliss - high[:, None, :]) ** 2, axis=2)
-    gaps = d_b - d_a
-    order = np.argsort(gaps, axis=1, kind="stable")
-    tied = np.any(np.diff(np.take_along_axis(gaps, order, axis=1), axis=1) < RANK_TOL, axis=1)
-    return np.all(order == perms, axis=1) & ~tied
-
-
-# Ranking table of each live electorate: dist -> (rows, nu, high, low). The
-# rows depend only on the bliss points, the platforms also on the payoff
-# object. Weak keys, so a collected electorate frees its entry.
-_TABLES = weakref.WeakKeyDictionary()
+    return _rises(np.take_along_axis(d_b - d_a, perms, axis=1))
 
 
 def _stored_table(dist, nu):
     """``(rows, high, low)`` over the rows of ``_realizable_rankings``, lexicographically.
 
-    Built once per electorate and payoff object; the rows are reused for any
-    payoff. This relies on ``VoterDistribution`` and ``ReducedPayoff`` being
-    immutable. The arrays are read-only.
+    The electorate keeps its rows for any payoff and its platforms for the
+    latest payoff object. The arrays are read-only.
     """
     nu.require_strictly_concave()
-    hit = _TABLES.get(dist)
-    if hit is not None and hit[1] is nu:
-        return hit[0], hit[2], hit[3]
-    rows = _realizable_rankings(dist.bliss) if hit is None else hit[0]
-    high, low = _ranking_table(rows, dist, nu)
-    high.setflags(write=False)
-    low.setflags(write=False)
-    _TABLES[dist] = (rows, nu, high, low)
+    rows = dist._derived("rankings", lambda: _realizable_rankings(dist.bliss))
+    high, low = dist._derived("ranking_table",
+                              lambda: _read_only(*_ranking_table(rows, dist, nu)), nu)
     return rows, high, low
 
 
@@ -481,22 +470,14 @@ def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff,
     return NashReport(party_preferred=best, max_sq_distance=max_sq, inventory=tuple(inventory))
 
 
-# Symmetry verdict of each live electorate, weak-keyed like ``_TABLES``.
-_SYMMETRIC = weakref.WeakKeyDictionary()
-
-
 def is_symmetric(dist: VoterDistribution) -> bool:
     """Whether every type has a mirror image through the mean bliss point.
 
     Types pair greedily in index order, each with the lowest-index unpaired
     type (itself included) within ``SYMMETRY_TOL`` of its mirror image in
-    every coordinate and in share. The verdict is worked out once per
-    electorate, which relies on ``VoterDistribution`` being immutable.
+    every coordinate and in share. The electorate keeps its verdict.
     """
-    verdict = _SYMMETRIC.get(dist)
-    if verdict is None:
-        verdict = _SYMMETRIC[dist] = _mirror_paired(dist)
-    return verdict
+    return dist._derived("symmetric", lambda: _mirror_paired(dist))
 
 
 def _mirror_paired(dist: VoterDistribution) -> bool:

@@ -13,7 +13,6 @@ All objects are immutable after construction and all functions are pure;
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,13 @@ def _as_matrix(bliss) -> np.ndarray:
     if pts.ndim != 2:
         raise PreconditionError(f"bliss points must form an (N, K) array, got shape {pts.shape}")
     return pts
+
+
+def _read_only(*arrays):
+    """``arrays`` (one array when given one), made read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 def _first_duplicate_row(pts: np.ndarray):
@@ -55,6 +61,9 @@ class VoterDistribution:
 
     Shares must sum to one and bliss points must be pairwise distinct.
     One-dimensional inputs may be passed as a flat list of scalars.
+
+    An electorate keeps what is derived from it (see ``_derived``), so the
+    store is freed with the electorate.
     """
 
     def __init__(self, bliss, shares, labels=None):
@@ -79,11 +88,25 @@ class VoterDistribution:
             labels = tuple(str(l) for l in labels)
             if len(labels) != pts.shape[0]:
                 raise PreconditionError("labels must match the number of types")
-        self.bliss = pts
-        self.shares = shr
+        self.bliss, self.shares = _read_only(pts, shr)
         self.labels = labels
-        self.bliss.setflags(write=False)
-        self.shares.setflags(write=False)
+        self._store = {}
+
+    def _derived(self, key, build, *inputs):
+        """``build()``, kept as the latest value under ``key`` while ``inputs`` stay equal.
+
+        ``inputs`` are everything besides this electorate that the value
+        depends on, compared as a tuple: a payoff object by identity, a
+        ``Shock`` by value, platforms by their bytes. A ``build`` that raises
+        stores nothing. This relies on electorates and payoffs being
+        immutable after construction.
+        """
+        hit = self._store.get(key)
+        if hit is not None and hit[0] == inputs:
+            return hit[1]
+        value = build()
+        self._store[key] = (inputs, value)
+        return value
 
     @property
     def n_types(self) -> int:
@@ -101,13 +124,8 @@ class VoterDistribution:
         """Type indices in ascending bliss order (stable); sorted once, read-only."""
         if self.dimension != 1:
             raise DimensionError("ascending_order requires a one-dimensional electorate")
-        return self._ascending_order
-
-    @functools.cached_property
-    def _ascending_order(self) -> np.ndarray:
-        order = np.argsort(self.bliss[:, 0], kind="stable")
-        order.setflags(write=False)
-        return order
+        return self._derived("ascending_order", lambda: _read_only(
+            np.argsort(self.bliss[:, 0], kind="stable")))
 
     def mean_bliss(self) -> np.ndarray:
         return self.shares @ self.bliss
@@ -144,10 +162,7 @@ class PlatformPair:
         b = np.atleast_1d(np.asarray(x_b, dtype=float))
         if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
             raise DimensionError("platforms must be vectors of equal length")
-        self.x_a = a
-        self.x_b = b
-        self.x_a.setflags(write=False)
-        self.x_b.setflags(write=False)
+        self.x_a, self.x_b = _read_only(a, b)
 
     @property
     def dimension(self) -> int:
@@ -284,7 +299,7 @@ class ReducedPayoff:
     """
 
     def __init__(self, func, *, normalize=True, provenance="direct", power_map=None,
-                 half_lower_raw=None, half_upper_raw=None):
+                 half_raw=None):
         # one evaluation of the grid; its ends give the normalization
         raw = np.asarray(func(unit_clamp(_GRID)), dtype=float)
         raw0 = float(raw[0])
@@ -313,16 +328,11 @@ class ReducedPayoff:
         self.value_at_zero = float(vals[0])
         self.value_at_one = float(vals[-1])
         self.value_at_half = float(vals[_GRID_HALF])
-
-        def _norm(v):
-            return (float(v) - self._offset) / self._scale
-
-        if half_lower_raw is not None or half_upper_raw is not None:
-            self.half_lower = _norm(half_lower_raw if half_lower_raw is not None else self.value_at_half)
-            self.half_upper = _norm(half_upper_raw if half_upper_raw is not None else self.value_at_half)
+        if half_raw is None:
+            self.half_lower = self.half_upper = self.value_at_half
         else:
-            self.half_lower = self.value_at_half
-            self.half_upper = self.value_at_half
+            self.half_lower, self.half_upper = ((float(v) - self._offset) / self._scale
+                                                for v in half_raw)
         self.jump = self.half_upper - self.half_lower
         self.has_jump = self.jump > 1e-15
 
@@ -462,16 +472,23 @@ def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
 
     Types are sorted by preference gap, gaps closer than ``TIE_TOL`` are
     merged into blocks, and the share is piecewise constant between block
-    gaps clamped to the shock support. Returns ``(shares, probabilities)``
-    with probabilities summing to one.
+    gaps clamped to the shock support. Returns read-only ``(shares,
+    probabilities)`` with probabilities summing to one. The electorate keeps
+    its latest lottery, so a second call at equal platforms and shock (party
+    B's payoff, or a checked solve's policy lottery) builds nothing.
     """
-    gaps = preference_gaps(pair, dist)
-    order = np.argsort(gaps, kind="stable")
-    g = gaps[order]
-    with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too, into blocks
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
-    return _sorted_gap_lottery(g[starts], np.add.reduceat(dist.shares[order], starts),
-                               shock.half_width)
+    p = as_pair(pair)
+
+    def build():
+        gaps = preference_gaps(p, dist)
+        order = np.argsort(gaps, kind="stable")
+        g = gaps[order]
+        with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too
+            starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
+        return _read_only(*_sorted_gap_lottery(
+            g[starts], np.add.reduceat(dist.shares[order], starts), shock.half_width))
+
+    return dist._derived("vote_share_lottery", build, shock, p.x_a.tobytes(), p.x_b.tobytes())
 
 
 def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,

@@ -191,8 +191,7 @@ def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
         normalize=normalize,
         provenance=f"composed[{utility.description} o {power.description}]",
         power_map=power,
-        half_lower_raw=utility.evaluate(power.half_lower),
-        half_upper_raw=utility.evaluate(power.half_upper),
+        half_raw=(utility.evaluate(power.half_lower), utility.evaluate(power.half_upper)),
     )
 
 

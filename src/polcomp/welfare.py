@@ -179,11 +179,11 @@ def premium_sweep(dist: VoterDistribution, utility: PowerUtility, total_power: f
     Each premium rebuilds the power map, recomposes the reduced payoff,
     solves the closed-form equilibrium, and decomposes welfare of the
     implemented-policy lottery. A row builds one vote-share lottery: the
-    checked solve keeps the lottery it verified the payoff identity on, and
-    the policy lottery is merged from it as in ``policy_lottery``. As the
-    premium approaches the total, the platforms converge to the median type
-    (provided it carries mass) and welfare approaches first-best less the
-    squared median-to-optimum gap.
+    electorate keeps the one the checked solve verified the payoff identity
+    on, and ``policy_lottery`` reads it back. As the premium approaches the
+    total, the platforms converge to the median type (provided it carries
+    mass) and welfare approaches first-best less the squared
+    median-to-optimum gap.
     """
     if dist.dimension != 1:
         raise DimensionError("premium sweep requires one policy dimension")
@@ -198,7 +198,7 @@ def premium_sweep(dist: VoterDistribution, utility: PowerUtility, total_power: f
         power = majority_premium_power(total_power, p)
         nu = compose_reduced_payoff(utility, power, normalize=True)
         eq = equilibrium_1d(dist, nu, shock)
-        lot = _compromise_lottery(eq.pair, *eq.lottery, power)
+        lot = policy_lottery(eq.pair, dist, power, shock)
         rep = welfare_decomposition(lot, dist)
         rows.append(SweepRow(rho_m=p, x_low=eq.x_low, x_high=eq.x_high, distance=eq.distance,
                              mean=rep.mean_policy, variance=rep.variance,

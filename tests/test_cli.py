@@ -9,6 +9,9 @@ from polcomp import cli
 from polcomp import equilibrium1d as eq1d
 from polcomp import equilibriumkd as eqkd
 from polcomp.cli import main, run, validate_result_record, SchemaError
+from polcomp.errors import InternalConsistencyError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_scenario(**task):
@@ -165,6 +168,29 @@ class TestSchemaHandling:
         assert main([subcommand, "--scenario", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / f"{subcommand}.json").exists()
+
+    @pytest.mark.parametrize("labels,message", [
+        ([None, "right"], "{where}.types[0].label must be a string"),
+        (["left", [1, 2]], "{where}.types[1].label must be a string"),
+        ([3, "right"], "{where}.types[0].label must be a string"),
+        (["x", "x"], "repeated labels in {where}.types: ['x']"),
+        (["type1", ...], "repeated labels in {where}.types: ['type1']"),   # ... : no label
+    ], ids=["null", "list", "number", "duplicate", "default-clash"])
+    @pytest.mark.parametrize("subcommand,where", [("classify", "distribution"),
+                                                  ("spread", "task.candidate")])
+    def test_label_rules_exit_two(self, tmp_path, capsys, subcommand, where, labels, message):
+        scenario = base_scenario(candidate={"types": [{"bliss": [-0.5], "share": 0.5},
+                                                      {"bliss": [1.5], "share": 0.5}]})
+        types = (scenario["distribution"] if where == "distribution"
+                 else scenario["task"]["candidate"])["types"]
+        for t, label in zip(types, labels):
+            t.pop("label", None)
+            if label is not ...:
+                t["label"] = label
+        path = write_scenario(tmp_path, scenario)
+        assert main([subcommand, "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(where=where)}\n"
+        assert not list(tmp_path.glob(f"{subcommand}*"))
 
     @pytest.mark.parametrize("seed,flag", [(-1, []), (7, ["--seed", "-3"])])
     def test_negative_seed_exit_two(self, tmp_path, capsys, seed, flag):
@@ -408,6 +434,24 @@ class TestSubcommands:
         lines = (tmp_path / "dynamics_trajectory.csv").read_text().splitlines()
         assert lines[0] == "period,voter_gap,platform_gap,closed_form_gap"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("theta_high,period", [(1.2693483709273183, 2970),
+                                                   (2.147142857142857, 929)])
+    def test_dynamics_overflow_exit_three(self, tmp_path, capsys, theta_high, period):
+        # these runs exited 4, and 0 with "inf" in the record, before the overflow check
+        scenario = json.loads((SCENARIOS / "dynamics.json").read_text())
+        scenario["task"].update(theta_high=theta_high, horizon=3000)
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["dynamics", "--scenario", path, "--out", str(out), "--format", "both"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: platform gap leaves the floating-point range at period {period}\n")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("value", [float("inf"), -np.inf, np.float64("nan")])
+    def test_non_finite_numbers_are_not_serialized(self, tmp_path, value):
+        with pytest.raises(InternalConsistencyError, match="non-finite"):
+            cli._to_json({"ok": 1.0, "rows": [[0.5, value]]})
 
     def test_direct_power_payoff(self, tmp_path):
         scenario = base_scenario()

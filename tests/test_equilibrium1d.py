@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import weakref
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
 from polcomp import equilibrium1d as eq1d
+from polcomp import model
 from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
 from helpers import (
@@ -414,7 +414,7 @@ class TestStoredSolve:
             with pytest.raises(InternalConsistencyError):
                 pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
         assert len(verify_calls) == 2
-        assert d not in eq1d._SOLVED
+        assert "equilibrium_1d" not in d._store
         eq = pc.equilibrium_1d(d, nu_quadratic, pc.Shock(4.0))
         with pytest.raises(InternalConsistencyError):
             pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
@@ -433,31 +433,39 @@ class TestStoredSolve:
             assert eq.position.tolist() == [int(np.flatnonzero(eq.order == i)[0])
                                             for i in range(dist.n_types)]
 
-    def test_checked_record_keeps_its_lottery(self, two_type, nu_quadratic, unit_shock):
+    def test_checked_solve_stores_its_lottery(self, two_type, nu_quadratic, unit_shock,
+                                              monkeypatch):
+        builds = []
+        real = model._sorted_gap_lottery
+
+        def counting(*args):
+            builds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_sorted_gap_lottery", counting)
+        eq = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock)
+        assert len(builds) == 1
+        stored = pc.vote_share_lottery(two_type, unit_shock, eq.pair)
+        assert len(builds) == 1
+        want = fresh_solve(pc.vote_share_lottery, two_type, unit_shock, eq.pair)
+        for a, b in zip(stored, want):
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
         single = pc.VoterDistribution([0.3], [1.0])
         for dist in (two_type, single):
             eq = pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
-            want = pc.vote_share_lottery(dist, unit_shock, eq.pair)
-            for a, b in zip(eq.lottery, want):
-                assert a.tobytes() == b.tobytes()
-                assert not a.flags.writeable
             exact = pc.expected_payoff(dist, nu_quadratic, unit_shock, eq.pair, "A")
             assert abs(exact - eq.payoff) <= 1e-10
-        raw = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock, check=False)
-        assert raw.lottery is None
-        assert "lottery" not in [f.name for f in dataclasses.fields(eq)]
+            assert not hasattr(eq, "lottery")
 
     def test_entry_freed_with_electorate(self, nu_quadratic, unit_shock):
-        gc.collect()
-        before = len(eq1d._SOLVED)
         dist = pc.VoterDistribution([0.0, 1.0], [0.5, 0.5])
-        pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
-        assert len(eq1d._SOLVED) == before + 1
+        eq = pc.equilibrium_1d(dist, nu_quadratic, unit_shock)
+        assert dist._store["equilibrium_1d"][1] is eq
         ref = weakref.ref(dist)
         del dist
         gc.collect()
         assert ref() is None
-        assert len(eq1d._SOLVED) == before
 
     @settings(max_examples=60)
     @given(dist=integer_weight_electorates(), data=st.data())

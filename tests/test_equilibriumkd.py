@@ -2,6 +2,7 @@ import contextlib
 import gc
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -177,6 +178,23 @@ class TestInducedRanking:
         pair = pc.PlatformPair([0.8], [-0.2])   # A on the right
         ranking = pc.induced_ranking(pair, d)
         assert ranking == tuple(np.argsort(d.bliss[:, 0]))
+
+    @pytest.mark.parametrize("x_a,x_b", [(np.inf, 0.25), (-np.inf, 0.25),
+                                         (0.25, np.inf), (0.25, -np.inf)])
+    def test_equal_infinite_gaps_tie(self, two_type, x_a, x_b):
+        # both gaps are the same infinity; their step is NaN, which must not warn or rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pc.induced_ranking(pc.PlatformPair([x_a], [x_b]), two_type) is None
+
+    @settings(max_examples=100)
+    @given(dist=small_electorates())
+    def test_self_consistent_rows_are_their_induced_ranking(self, dist):
+        nu = pc.payoff_preset("quadratic")
+        rows, high, low = eqkd._stored_table(dist, nu)
+        want = [pc.induced_ranking(pc.PlatformPair(a, b), dist) == tuple(row)
+                for row, a, b in zip(rows.tolist(), high, low)]
+        assert eqkd._self_consistent(rows, high, low, dist).tolist() == want
 
 
 class TestPlatformsForRanking:
@@ -627,7 +645,8 @@ class TestStoredTable:
         start = min(rep.inventory, key=lambda e: e.sq_distance)
         pc.best_response_dynamics(start.pair, dist, nu_quadratic, shock)
         assert len(row_builds) == 1
-        assert len(eqkd._TABLES[dist][0]) < 720
+        assert len(eqkd._stored_table(dist, nu_quadratic)[0]) < 720
+        assert len(row_builds) == 1
 
     def test_same_payoff_reuses_table(self, row_builds, crafted_4type, nu_quadratic):
         first = eqkd._stored_table(crafted_4type, nu_quadratic)
@@ -635,15 +654,27 @@ class TestStoredTable:
         assert all(a is b for a, b in zip(first, again))
         assert len(row_builds) == 1
 
-    def test_new_payoff_reuses_rows(self, row_builds, crafted_4type):
+    def test_new_payoff_reuses_rows(self, row_builds, crafted_4type, monkeypatch):
+        table_builds = []
+        real = eqkd._ranking_table
+
+        def counting(*args):
+            table_builds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(eqkd, "_ranking_table", counting)
         shock = shock_for(crafted_4type)
-        pc.enumerate_local_equilibria(crafted_4type, pc.payoff_preset("quadratic"), shock)
-        rows = eqkd._TABLES[crafted_4type][0]
+        nu = pc.payoff_preset("quadratic")
+        pc.enumerate_local_equilibria(crafted_4type, nu, shock)
+        rows = eqkd._stored_table(crafted_4type, nu)[0]
         other = pc.payoff_preset("sqrt-sharing")
         cands = eqkd.candidate_platforms(crafted_4type, other)
-        assert len(row_builds) == 1
-        assert eqkd._TABLES[crafted_4type][0] is rows
-        assert eqkd._TABLES[crafted_4type][1] is other
+        assert len(row_builds) == 1 and len(table_builds) == 2
+        # the table now belongs to the other payoff; the rows serve both
+        assert eqkd._stored_table(crafted_4type, other)[0] is rows
+        assert len(table_builds) == 2
+        assert eqkd._stored_table(crafted_4type, nu)[0] is rows
+        assert len(row_builds) == 1 and len(table_builds) == 3
         assert np.array_equal(cands, fresh_solve(eqkd.candidate_platforms, crafted_4type, other))
 
     def test_arrays_read_only(self, crafted_4type, nu_quadratic):
@@ -654,16 +685,13 @@ class TestStoredTable:
         assert eqkd.candidate_platforms(crafted_4type, nu_quadratic).flags.writeable
 
     def test_entry_freed_with_electorate(self, nu_quadratic):
-        gc.collect()
-        before = len(eqkd._TABLES)
         dist = pc.VoterDistribution([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]], [0.3, 0.3, 0.4])
         eqkd.candidate_platforms(dist, nu_quadratic)
-        assert len(eqkd._TABLES) == before + 1
+        assert {"rankings", "ranking_table"} <= set(dist._store)
         ref = weakref.ref(dist)
         del dist
         gc.collect()
         assert ref() is None
-        assert len(eqkd._TABLES) == before
 
 
 class TestBatchPayoffs:
@@ -838,16 +866,13 @@ class TestSymmetry:
         assert len(calls) == 1
 
     def test_verdict_freed_with_electorate(self):
-        gc.collect()
-        before = len(eqkd._SYMMETRIC)
         dist = pc.VoterDistribution([[0.0, 0.0], [1.0, 0.5]], [0.6, 0.4])
         assert not pc.is_symmetric(dist)
-        assert len(eqkd._SYMMETRIC) == before + 1
+        assert dist._store["symmetric"] == ((), False)
         ref = weakref.ref(dist)
         del dist
         gc.collect()
         assert ref() is None
-        assert len(eqkd._SYMMETRIC) == before
 
     def test_thousands_of_types(self):
         rng = np.random.default_rng(11)

@@ -1,10 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
+from polcomp import model
 from polcomp.errors import DimensionError, PreconditionError
 from polcomp.model import (_MC_CHUNK, _first_duplicate_row, _shock_lookup, distance_payoff,
                            unit_clamp)
@@ -269,6 +272,112 @@ class TestUnitSpan:
         assert not nu.unit_span
         with pytest.raises(PreconditionError, match="unit span"):
             nu.require_normalized()
+
+
+class TestHalfValues:
+    def test_equal_half_values_make_no_jump(self):
+        # both one-sided values are normalized once, as the grid is
+        def f(s):
+            return 3.0 + 2.0 * np.sqrt(np.asarray(s, dtype=float))
+
+        nu = pc.ReducedPayoff(f, half_raw=(f(0.5), f(0.5)))
+        assert nu.half_lower == nu.half_upper == pytest.approx(np.sqrt(0.5), abs=1e-15)
+        assert nu.jump == 0.0 and not nu.has_jump
+        with pytest.raises(TypeError):
+            pc.ReducedPayoff(f, half_upper_raw=f(0.5))
+
+    def test_default_is_the_grid_value(self, nu_sqrt):
+        assert nu_sqrt.half_lower == nu_sqrt.half_upper == nu_sqrt.value_at_half
+
+
+class TestDerivedStore:
+    """What an electorate keeps: the latest value per key, while its inputs compare equal."""
+
+    @pytest.fixture
+    def lottery_builds(self, monkeypatch):
+        calls = []
+        real = model._sorted_gap_lottery
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_sorted_gap_lottery", counting)
+        return calls
+
+    def test_inputs_compare_as_a_tuple(self, two_type):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return len(builds)
+
+        nu, shock = pc.payoff_preset("quadratic"), pc.Shock(1.0)
+        assert two_type._derived("k", build, nu, shock, b"\x00") == 1
+        assert two_type._derived("k", build, nu, pc.Shock(1.0), b"\x00") == 1
+        # a new payoff object, an unequal shock, other bytes: each rebuilds
+        assert two_type._derived("k", build, pc.payoff_preset("quadratic"), shock, b"\x00") == 2
+        assert two_type._derived("k", build, nu, pc.Shock(2.0), b"\x00") == 3
+        assert two_type._derived("k", build, nu, pc.Shock(2.0), b"\x01") == 4
+        assert two_type._derived("other", build) == 5
+        assert two_type._derived("k", build, nu, pc.Shock(2.0), b"\x01") == 4
+
+    def test_failed_build_stores_nothing(self, two_type):
+        def broken():
+            raise PreconditionError("no")
+
+        with pytest.raises(PreconditionError):
+            two_type._derived("k", broken)
+        assert "k" not in two_type._store
+        assert two_type._derived("k", lambda: 1, "a") == 1
+        with pytest.raises(PreconditionError):
+            two_type._derived("k", broken, "b")
+        assert two_type._derived("k", pytest.fail, "a") == 1
+
+    def test_lottery_hits_equal_inputs_and_rebuilds_new_ones(self, two_type, lottery_builds):
+        first = pc.vote_share_lottery(two_type, pc.Shock(1.0), pc.PlatformPair([0.75], [0.25]))
+        again = pc.vote_share_lottery(two_type, pc.Shock(1.0), ([0.75], [0.25]))
+        assert all(a is b for a, b in zip(first, again))
+        assert len(lottery_builds) == 1
+        pc.vote_share_lottery(two_type, pc.Shock(2.0), ([0.75], [0.25]))
+        pc.vote_share_lottery(two_type, pc.Shock(2.0), ([0.75], [0.5]))
+        pc.vote_share_lottery(two_type, pc.Shock(2.0), ([0.5], [0.5]))
+        assert len(lottery_builds) == 4
+
+    def test_failed_lottery_keeps_the_last_one(self, two_type, lottery_builds):
+        pair = pc.PlatformPair([0.75], [0.25])
+        first = pc.vote_share_lottery(two_type, pc.Shock(1.0), pair)
+        with pytest.raises(PreconditionError):
+            pc.vote_share_lottery(two_type, pc.Shock(1.0), ([np.nan], [0.25]))
+        assert pc.vote_share_lottery(two_type, pc.Shock(1.0), pair)[0] is first[0]
+        assert len(lottery_builds) == 1
+
+    def test_party_b_reuses_party_a_lottery(self, two_type, nu_quadratic, lottery_builds):
+        pair = pc.PlatformPair([0.75], [0.25])
+        v_a = pc.expected_payoff(two_type, nu_quadratic, pc.Shock(1.0), pair, "A")
+        v_b = pc.expected_payoff(two_type, nu_quadratic, pc.Shock(1.0), pair, "B")
+        assert v_a == v_b == 0.625
+        assert len(lottery_builds) == 1
+
+    def test_lottery_arrays_read_only(self, two_type, unit_shock):
+        for a in pc.vote_share_lottery(two_type, unit_shock, ([0.75], [0.25])):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    @pytest.mark.parametrize("derive", [
+        lambda d, nu, shock: pc.vote_share_lottery(d, shock, ([0.5, 0.5], [0.0, 0.0])),
+        lambda d, nu, shock: pc.party_preferred_equilibria(d, nu, shock),
+    ], ids=["vote_share_lottery", "party_preferred_equilibria"])
+    def test_electorate_collected(self, derive, nu_quadratic):
+        # equilibrium_1d and is_symmetric: see the *_freed_with_electorate tests
+        d = pc.VoterDistribution([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        derive(d, nu_quadratic, pc.Shock(5.0))
+        assert d._store
+        ref = weakref.ref(d)
+        del d
+        gc.collect()
+        assert ref() is None
 
 
 class TestExpectedPayoff:

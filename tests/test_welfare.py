@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polcomp as pc
-from polcomp import equilibrium1d as eq1d, model, welfare
+from polcomp import model, welfare
 from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
 from helpers import (
+    fresh_solve,
     oracle_direct_welfare,
     oracle_policy_merge,
     random_diverse_instance,
@@ -231,25 +232,27 @@ class TestWelfareDecomposition:
 
 class TestPremiumSweep:
     def test_one_vote_share_lottery_per_row(self, three_type_symmetric, monkeypatch):
-        calls = []
-        real = model.vote_share_lottery
+        builds = []
+        real = model._sorted_gap_lottery
 
         def counting(*args):
-            calls.append(1)
+            builds.append(1)
             return real(*args)
 
-        for module in (model, eq1d, welfare):
-            monkeypatch.setattr(module, "vote_share_lottery", counting)
+        monkeypatch.setattr(model, "_sorted_gap_lottery", counting)
         u = pc.utility_preset("quadratic")
-        sweep = pc.premium_sweep(three_type_symmetric, u, 1.0, [0.3], pc.Shock(5.0))
-        assert len(calls) == 1
-        power = pc.majority_premium_power(1.0, 0.3)
-        eq = pc.equilibrium_1d(three_type_symmetric, pc.compose_reduced_payoff(u, power),
-                               pc.Shock(5.0))
-        rep = pc.welfare_decomposition(
-            pc.policy_lottery(eq.pair, three_type_symmetric, power, pc.Shock(5.0)),
-            three_type_symmetric)
-        assert sweep.rows[0].welfare == rep.welfare and sweep.rows[0].mean == rep.mean_policy
+        premiums = [0.0, 0.3, 0.6]
+        sweep = pc.premium_sweep(three_type_symmetric, u, 1.0, premiums, pc.Shock(5.0))
+        assert len(builds) == len(premiums)
+        for row, premium in zip(sweep.rows, premiums):
+            power = pc.majority_premium_power(1.0, premium)
+            eq = fresh_solve(pc.equilibrium_1d, three_type_symmetric,
+                             pc.compose_reduced_payoff(u, power), pc.Shock(5.0))
+            rep = pc.welfare_decomposition(
+                fresh_solve(lambda d: pc.policy_lottery(eq.pair, d, power, pc.Shock(5.0)),
+                            three_type_symmetric),
+                three_type_symmetric)
+            assert row.welfare == rep.welfare and row.mean == rep.mean_policy
 
     def test_symmetric_three_type_sweep(self, three_type_symmetric):
         u = pc.utility_preset("quadratic")
