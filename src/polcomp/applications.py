@@ -157,6 +157,9 @@ class FeedbackParams:
             raise PreconditionError("cost and shock half-width must be positive")
         if self.gap < 0.0 or self.horizon < 0:
             raise PreconditionError("gap and horizon must be nonnegative")
+        if not math.isfinite(self.growth_ratio):
+            raise PreconditionError(
+                f"growth ratio 2 * theta_high * separation is {self.growth_ratio}, not finite")
 
     @property
     def growth_ratio(self) -> float:

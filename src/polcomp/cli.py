@@ -43,7 +43,8 @@ premium-sweep {"premiums": [...]}; info {"salience", "prior_common",
 "theta_low", "cost", "horizon"}; validate ignores the task block (it
 belongs to whichever subcommand will consume the scenario). dynamics
 exits 3 when a platform gap leaves the floating-point range, naming the
-period. validate's
+period, and when its growth ratio is not finite, whatever the horizon.
+validate's
 ``checks.shares_valid`` is always true: invalid or non-finite shares exit 3
 while the scenario is parsed, before any record is written.
 

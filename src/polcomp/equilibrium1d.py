@@ -28,6 +28,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _raise_failed,
     _read_only,
     distance_payoff,
     unit_clamp,
@@ -120,8 +121,23 @@ def risk_neutral_benchmark(dist: VoterDistribution, power) -> float:
     x = dist.bliss[order, 0]
     heads = np.concatenate(([0.0], np.cumsum(dist.shares[order])))
     rho = np.asarray(power.evaluate(unit_clamp(heads)), dtype=float)
-    weights = (rho[1:] - rho[:-1]) / power.total
-    return float(weights @ x)
+    return float(_risk_neutral_weights(rho, power.total) @ x)
+
+
+def _risk_neutral_weights(head_power, total):
+    """Power increments along the head shares over ``total``, along the last axis."""
+    return (head_power[..., 1:] - head_power[..., :-1]) / total
+
+
+def _head_tail_shares(shares_sorted):
+    """Cumulative shares ``(heads, tails)`` of ascending-sorted types, each clamped to [0, 1].
+
+    ``heads`` starts at 0 and ``tails`` ends at 0. Tail shares accumulate
+    backwards to limit cancellation.
+    """
+    heads = np.concatenate(([0.0], unit_clamp(np.cumsum(shares_sorted))))
+    tails = np.concatenate((unit_clamp(np.cumsum(shares_sorted[::-1])[::-1]), [0.0]))
+    return heads, tails
 
 
 def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
@@ -129,15 +145,16 @@ def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
 
     High-side weight of a type: payoff gain from winning it on top of all
     types to its right (tail shares). Low-side weight mirrors with head
-    shares. Tail shares accumulate backwards to limit cancellation.
+    shares.
     """
-    tails = np.concatenate((unit_clamp(np.cumsum(shares_sorted[::-1])[::-1]), [0.0]))
-    heads = np.concatenate(([0.0], unit_clamp(np.cumsum(shares_sorted))))
-    nu_tails = np.asarray(nu.evaluate(tails), dtype=float)
-    nu_heads = np.asarray(nu.evaluate(heads), dtype=float)
-    w_high = nu_tails[:-1] - nu_tails[1:]
-    w_low = nu_heads[1:] - nu_heads[:-1]
-    return w_low, w_high
+    heads, tails = _head_tail_shares(shares_sorted)
+    return _weights_from_values(np.asarray(nu.evaluate(heads), dtype=float),
+                                np.asarray(nu.evaluate(tails), dtype=float))
+
+
+def _weights_from_values(nu_heads, nu_tails):
+    """``(w_low, w_high)`` from the payoff at the head and tail shares, along the last axis."""
+    return nu_heads[..., 1:] - nu_heads[..., :-1], nu_tails[..., :-1] - nu_tails[..., 1:]
 
 
 def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -194,28 +211,40 @@ def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     return eq
 
 
+# _verify_equilibrium's checks of each side's weights, then of the platforms
+# (low, risk-neutral, high) along the last axis against the bliss range (lo, hi)
+_WEIGHT_CHECKS = (
+    (lambda w: (w <= 0.0).any(axis=-1) | (w >= 1.0).any(axis=-1), PreconditionError,
+     "equilibrium weights left (0, 1); payoff increments are not strict "
+     "(is the payoff strictly more responsive for the trailing party?)"),
+    (lambda w: abs(w.sum(axis=-1) - 1.0) > 1e-10, InternalConsistencyError,
+     "equilibrium weights do not sum to one"),
+)
+_PLATFORM_CHECKS = (
+    (lambda x, lo, hi: ~((lo < x[..., 0]) & (x[..., 2] < hi)), InternalConsistencyError,
+     "platforms escaped the interior of the bliss range"),
+    (lambda x, lo, hi: ~(x[..., 0] < x[..., 2]), PreconditionError,
+     "platforms failed to separate; payoff lacks the strict gain asymmetry"),
+    (lambda x, lo, hi: ~((x[..., 0] < x[..., 1] + _STRICT_TOL)
+                         & (x[..., 1] < x[..., 2] + _STRICT_TOL)),
+     InternalConsistencyError, "platforms do not bracket the risk-neutral benchmark"),
+)
+
+
 def _verify_equilibrium(eq: Equilibrium1D, nu, x_sorted, lottery):
     for w in (eq.weights_low, eq.weights_high):
-        if np.any(w <= 0.0) or np.any(w >= 1.0):
-            raise PreconditionError(
-                "equilibrium weights left (0, 1); payoff increments are not strict "
-                "(is the payoff strictly more responsive for the trailing party?)")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise InternalConsistencyError("equilibrium weights do not sum to one")
-    lo, hi = x_sorted[0], x_sorted[-1]
-    if not (lo < eq.x_low and eq.x_high < hi):
-        raise InternalConsistencyError("platforms escaped the interior of the bliss range")
-    if not eq.x_low < eq.x_high:
-        raise PreconditionError(
-            "platforms failed to separate; payoff lacks the strict gain asymmetry")
-    if not (eq.x_low < eq.x_risk_neutral + _STRICT_TOL
-            and eq.x_risk_neutral < eq.x_high + _STRICT_TOL):
-        raise InternalConsistencyError("platforms do not bracket the risk-neutral benchmark")
+        _raise_failed(_WEIGHT_CHECKS, w)
+    _raise_failed(_PLATFORM_CHECKS, np.array([eq.x_low, eq.x_risk_neutral, eq.x_high]),
+                  x_sorted[0], x_sorted[-1])
     shares, probs = lottery
-    direct = float(np.dot(nu.evaluate(shares), probs))     # as expected_payoff(..., "A")
-    if abs(direct - eq.payoff) > 1e-10:
+    # as expected_payoff(..., "A")
+    _check_payoff_identity(eq.payoff, float(np.dot(nu.evaluate(shares), probs)))
+
+
+def _check_payoff_identity(payoff, direct):
+    if abs(direct - payoff) > 1e-10:
         raise InternalConsistencyError(
-            f"payoff identity {eq.payoff:.17g} disagrees with exact integrator {direct:.17g}; "
+            f"payoff identity {payoff:.17g} disagrees with exact integrator {direct:.17g}; "
             "check the shock support at the equilibrium platforms")
 
 

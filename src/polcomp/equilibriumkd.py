@@ -51,7 +51,7 @@ from .model import (
     expected_payoff,
     preference_gaps,
 )
-from .equilibrium1d import _median_cut, equilibrium_weights, is_spread
+from .equilibrium1d import _median_cut, _weights_from_values, equilibrium_weights, is_spread
 
 RANK_TOL = 1e-9
 ENUM_BUDGET = math.factorial(8) * 8     # entries a ranking search may touch: 8 types' n!·n
@@ -242,8 +242,7 @@ def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff
     cum[1, :, :-1] = np.cumsum(shares[:, ::-1], axis=1)[:, ::-1]
     np.clip(cum, 0.0, 1.0, out=cum)
     nu_heads, nu_tails = _nu_on_distinct(nu, cum)
-    return _weighted_sides(nu_heads[:, 1:] - nu_heads[:, :-1],
-                           nu_tails[:, :-1] - nu_tails[:, 1:], dist.bliss[perms])
+    return _weighted_sides(*_weights_from_values(nu_heads, nu_tails), dist.bliss[perms])
 
 
 def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:

@@ -39,6 +39,18 @@ def _read_only(*arrays):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
+def _raise_failed(checks, *args):
+    """Raise the error of the first of ``checks`` that ``args`` fail.
+
+    A check is ``(failed, error, message)``. Each ``failed`` works along the
+    last axis, so ``welfare.premium_sweep`` runs the same checks on a block
+    of rows at once.
+    """
+    for failed, error, message in checks:
+        if failed(*args):
+            raise error(message)
+
+
 def _first_duplicate_row(pts: np.ndarray):
     """Smallest ``(i, j)``, i first, with ``i < j`` and rows equal under ``==``; else None.
 
@@ -201,6 +213,26 @@ def unit_clamp(share):
     return np.minimum(np.maximum(0.0, np.asarray(share, dtype=float)), 1.0)
 
 
+def _constant_sum_violated(vals, total):
+    csum = vals + vals[..., ::-1]
+    np.subtract(csum, total, out=csum)
+    np.abs(csum, out=csum)
+    return np.max(csum, axis=-1) > 1e-10
+
+
+# PowerMap's checks of its values on the validation grid
+_POWER_GRID_CHECKS = (
+    (lambda vals, total: ~np.isfinite(vals).all(axis=-1), PreconditionError,
+     "power map must be finite on the validation grid"),
+    (lambda vals, total: (vals[..., 1:] - vals[..., :-1] <= 0.0).any(axis=-1), PreconditionError,
+     "power map must be strictly increasing in vote share"),
+    (_constant_sum_violated, PreconditionError,
+     "power map violates the constant-sum requirement"),
+    (lambda vals, total: (vals[..., 0] < -1e-12) | (vals[..., -1] > total + 1e-12),
+     PreconditionError, "power map must take values in [0, total]"),
+)
+
+
 class PowerMap:
     """Mapping from vote share to political power.
 
@@ -222,15 +254,7 @@ class PowerMap:
         self.half_upper = mid if half_upper is None else float(half_upper)
         self.jump = self.half_upper - self.half_lower
         self.description = description
-        if not np.all(np.isfinite(vals)):
-            raise PreconditionError("power map must be finite on the validation grid")
-        if np.any(vals[1:] - vals[:-1] <= 0.0):
-            raise PreconditionError("power map must be strictly increasing in vote share")
-        csum = vals + vals[::-1]
-        if np.max(np.abs(csum - self.total)) > 1e-10:
-            raise PreconditionError("power map violates the constant-sum requirement")
-        if vals[0] < -1e-12 or vals[-1] > self.total + 1e-12:
-            raise PreconditionError("power map must take values in [0, total]")
+        _raise_failed(_POWER_GRID_CHECKS, vals, self.total)
 
     def evaluate(self, share):
         s = unit_clamp(share)
@@ -273,6 +297,35 @@ class PowerUtility:
     __call__ = evaluate
 
 
+# ReducedPayoff's checks: the raw span before normalizing, then the values on
+# the validation grid (composed payoffs may plateau, see the class docstring),
+# then require_normalized's
+_NORMALIZABLE = ((lambda span: span <= 0.0, PreconditionError,
+                  "cannot normalize: payoff span over [0, 1] is not positive"),)
+_FINITE_PAYOFF = (lambda vals: ~np.isfinite(vals).all(axis=-1), PreconditionError,
+                  "reduced payoff must be finite on the validation grid")
+_COMPOSED_PAYOFF_CHECKS = (
+    _FINITE_PAYOFF,
+    (lambda vals: (vals[..., 1:] - vals[..., :-1] < -1e-15).any(axis=-1)
+     | (vals[..., -1] <= vals[..., 0]),
+     PreconditionError, "reduced payoff decreases on the validation grid"),
+)
+_DIRECT_PAYOFF_CHECKS = (
+    _FINITE_PAYOFF,
+    (lambda vals: (vals[..., 1:] - vals[..., :-1] <= 0.0).any(axis=-1),
+     PreconditionError, "reduced payoff must be strictly increasing in vote share"),
+)
+
+
+def _off_unit_span(value_at_zero, value_at_one):
+    """Whether the span ``value_at_one - value_at_zero`` misses one by more than 1e-12; NaN does."""
+    return np.logical_not(abs(value_at_one - value_at_zero - 1.0) <= 1e-12)
+
+
+_NORMALIZED = ((_off_unit_span, PreconditionError,
+                "operation requires a payoff normalized to unit span"),)
+
+
 class ReducedPayoff:
     """Map from a party's vote share to its payoff, with diagnostics.
 
@@ -306,8 +359,7 @@ class ReducedPayoff:
         raw1 = float(raw[-1])
         span = raw1 - raw0
         if normalize:
-            if span <= 0.0:
-                raise PreconditionError("cannot normalize: payoff span over [0, 1] is not positive")
+            _raise_failed(_NORMALIZABLE, span)
             self._offset, self._scale = raw0, span
         else:
             self._offset, self._scale = 0.0, 1.0
@@ -317,14 +369,8 @@ class ReducedPayoff:
         self.power_map = power_map
 
         vals = (raw - self._offset) / self._scale        # == self.evaluate(_GRID)
-        if not np.all(np.isfinite(vals)):
-            raise PreconditionError("reduced payoff must be finite on the validation grid")
-        diffs = vals[1:] - vals[:-1]
-        if power_map is not None:     # composed: see the class docstring
-            if np.any(diffs < -1e-15) or vals[-1] <= vals[0]:
-                raise PreconditionError("reduced payoff decreases on the validation grid")
-        elif np.any(diffs <= 0.0):
-            raise PreconditionError("reduced payoff must be strictly increasing in vote share")
+        _raise_failed(_DIRECT_PAYOFF_CHECKS if power_map is None else _COMPOSED_PAYOFF_CHECKS,
+                      vals)
         self.value_at_zero = float(vals[0])
         self.value_at_one = float(vals[-1])
         self.value_at_half = float(vals[_GRID_HALF])
@@ -367,7 +413,7 @@ class ReducedPayoff:
     @property
     def unit_span(self) -> bool:
         """Whether the payoff is normalized: its span over [0, 1] is one within 1e-12."""
-        return abs(self.span - 1.0) <= 1e-12
+        return not _off_unit_span(self.value_at_zero, self.value_at_one)
 
     def evaluate(self, share):
         s = unit_clamp(share)
@@ -377,8 +423,7 @@ class ReducedPayoff:
     __call__ = evaluate
 
     def require_normalized(self):
-        if not self.unit_span:
-            raise PreconditionError("operation requires a payoff normalized to unit span")
+        _raise_failed(_NORMALIZED, self.value_at_zero, self.value_at_one)
 
     def require_strictly_concave(self):
         if not self.strictly_concave:
@@ -403,14 +448,21 @@ def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
     p = as_pair(pair)
     if dist.dimension != p.dimension:
         raise DimensionError("electorate and platforms disagree on dimension")
-    d_b = np.sum((dist.bliss - p.x_b) ** 2, axis=1)
-    d_a = np.sum((dist.bliss - p.x_a) ** 2, axis=1)
-    with np.errstate(invalid="ignore"):     # inf − inf is NaN, refused below
-        gaps = d_b - d_a
-    if np.isnan(gaps).any():
-        raise PreconditionError("preference gaps are NaN: platforms must not be NaN "
-                                "or both infinite")
+    gaps = _gap_values(dist.bliss, p.x_a, p.x_b)
+    _raise_failed(_GAP_CHECKS, gaps)
     return gaps
+
+
+def _gap_values(bliss, x_a, x_b):
+    """Gaps of the ``bliss`` rows (N, K) at platforms (K,), or (..., 1, K) for a row per pair."""
+    d_b = np.sum((bliss - x_b) ** 2, axis=-1)
+    d_a = np.sum((bliss - x_a) ** 2, axis=-1)
+    with np.errstate(invalid="ignore"):     # inf − inf is NaN, refused by _GAP_CHECKS
+        return d_b - d_a
+
+
+_GAP_CHECKS = ((lambda gaps: np.isnan(gaps).any(axis=-1), PreconditionError,
+                "preference gaps are NaN: platforms must not be NaN or both infinite"),)
 
 
 def vote_probability(gap, shock: Shock):
@@ -482,13 +534,21 @@ def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
     def build():
         gaps = preference_gaps(p, dist)
         order = np.argsort(gaps, kind="stable")
-        g = gaps[order]
-        with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
-        return _read_only(*_sorted_gap_lottery(
-            g[starts], np.add.reduceat(dist.shares[order], starts), shock.half_width))
+        return _read_only(*_merged_gap_lottery(gaps[order], dist.shares[order],
+                                               shock.half_width))
 
     return dist._derived("vote_share_lottery", build, shock, p.x_a.tobytes(), p.x_b.tobytes())
+
+
+def _merged_gap_lottery(g, shares, half_width):
+    """``_sorted_gap_lottery`` of ascending gaps ``g`` once gaps within ``TIE_TOL`` merge.
+
+    A block of near-tied gaps sits at its first gap and carries its types'
+    summed ``shares``, which are in the order of ``g``.
+    """
+    with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
+    return _sorted_gap_lottery(g[starts], np.add.reduceat(shares, starts), half_width)
 
 
 def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pair,
@@ -507,7 +567,11 @@ def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
 
     The mean of the payoff's extremes plus the insurance term sq / (2 h).
     """
-    return 0.5 * (nu.value_at_one + nu.value_at_zero) + sq / (2.0 * shock.half_width)
+    return _distance_identity(nu.value_at_zero, nu.value_at_one, shock.half_width, sq)
+
+
+def _distance_identity(value_at_zero, value_at_one, half_width, sq):
+    return 0.5 * (value_at_one + value_at_zero) + sq / (2.0 * half_width)
 
 
 # Monte-Carlo shock lookup: buckets per preference gap, and shocks drawn per chunk

@@ -11,12 +11,13 @@ the equilibrium modules.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .model import PowerMap, PowerUtility, ReducedPayoff
+from .model import PowerMap, PowerUtility, ReducedPayoff, _raise_failed
 
 _SIMPSON_PANELS = 2048
 # nodes/weights for composite Simpson on [0, 1]; rescaled per upper limit
@@ -153,22 +154,32 @@ def majority_premium_power(total: float, premium: float) -> PowerMap:
     if not 0.0 <= premium < total:
         raise PreconditionError("premium must lie in [0, total)")
     slope = total - premium
-
-    def rho(share):
-        # total / 2 where share is one half or NaN, as neither comparison holds
-        s = np.asarray(share, dtype=float)
-        out = np.full(s.shape, total / 2.0)
-        v = slope * s
-        np.copyto(out, v, where=s < 0.5)
-        np.add(v, premium, out=out, where=s > 0.5)
-        return out
-
-    return PowerMap(total, rho, half_lower=slope * 0.5, half_upper=slope * 0.5 + premium,
+    return PowerMap(total, functools.partial(_premium_power, total, premium),
+                    half_lower=slope * 0.5, half_upper=slope * 0.5 + premium,
                     description=f"proportional with premium {premium:g}")
+
+
+def _premium_power(total, premium, share):
+    """Power at ``share`` of ``majority_premium_power(total, premium)``, unchecked.
+
+    A column of premiums (P, 1) gives a row of powers per premium, each row
+    the same floats as a call with that premium alone.
+    """
+    # total / 2 where share is one half or NaN, as neither comparison holds
+    s = np.asarray(share, dtype=float)
+    v = (total - premium) * s
+    out = np.full(v.shape, total / 2.0)
+    np.copyto(out, v, where=s < 0.5)
+    np.add(v, premium, out=out, where=s > 0.5)
+    return out
 
 
 def proportional_power(total: float = 1.0) -> PowerMap:
     return majority_premium_power(total, 0.0)
+
+
+_SAME_TOTAL = ((lambda utility_total, power_total: abs(utility_total - power_total) > 1e-12,
+                PreconditionError, "utility domain and power map total disagree"),)
 
 
 def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
@@ -180,8 +191,7 @@ def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
     the power map so that payoff increments across a majority threshold
     stay well defined.
     """
-    if abs(utility.total - power.total) > 1e-12:
-        raise PreconditionError("utility domain and power map total disagree")
+    _raise_failed(_SAME_TOTAL, utility.total, power.total)
 
     def nu(share):
         return utility.evaluate(power.evaluate(np.asarray(share, dtype=float)))

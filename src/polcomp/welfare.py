@@ -7,6 +7,12 @@ mean policy minus policy variance. Sweeping the majority premium of a
 proportional power map traces the institutional trade-off: a larger
 premium pulls platforms toward the median type, killing variance, while
 bias converges to the median-to-optimum gap.
+
+A sweep evaluates its premiums in blocks, each stage once over a block,
+with the same kernels and checks as the model objects it stands for. Its
+rows are the same floats as building those objects one premium at a time,
+and a failing sweep raises the error of its first failing row after the
+rows before it have run.
 """
 
 from __future__ import annotations
@@ -17,16 +23,33 @@ import numpy as np
 
 from .errors import DimensionError, InternalConsistencyError, PreconditionError
 from .model import (
-    PlatformPair,
+    _COMPOSED_PAYOFF_CHECKS,
+    _GAP_CHECKS,
+    _GRID,
+    _NORMALIZABLE,
+    _NORMALIZED,
+    _POWER_GRID_CHECKS,
     PowerMap,
     PowerUtility,
     Shock,
     VoterDistribution,
+    _distance_identity,
+    _gap_values,
+    _merged_gap_lottery,
     as_pair,
+    unit_clamp,
     vote_share_lottery,
 )
-from .equilibrium1d import equilibrium_1d, median_bliss
-from .payoffs import compose_reduced_payoff, majority_premium_power
+from .equilibrium1d import (
+    _PLATFORM_CHECKS,
+    _WEIGHT_CHECKS,
+    _check_payoff_identity,
+    _head_tail_shares,
+    _risk_neutral_weights,
+    _weights_from_values,
+    median_bliss,
+)
+from .payoffs import _SAME_TOTAL, _premium_power
 
 
 @dataclass(frozen=True)
@@ -64,13 +87,16 @@ def policy_lottery(pair, dist: VoterDistribution, power: PowerMap, shock: Shock)
     if p.dimension != 1 or dist.dimension != 1:
         raise DimensionError("policy lotteries are defined on one policy dimension")
     shares, probs = vote_share_lottery(dist, shock, p)
-    return _compromise_lottery(p, shares, probs, power)
-
-
-def _compromise_lottery(p: PlatformPair, shares, probs, power: PowerMap) -> PolicyLottery:
-    """Compromise outcomes of a vote-share lottery, sorted and merged, with their checks."""
     lam = np.asarray(power.evaluate(shares), dtype=float) / power.total
-    outcomes = lam * p.x_a[0] + (1.0 - lam) * p.x_b[0]
+    return _compromise_lottery(p.x_a[0], p.x_b[0], lam, probs)
+
+
+def _compromise_lottery(x_a, x_b, lam, probs) -> PolicyLottery:
+    """Outcomes ``lam * x_a + (1 - lam) * x_b`` with ``probs``, sorted and merged, with their checks.
+
+    ``lam`` is party A's power share on each interval of a vote-share lottery.
+    """
+    outcomes = lam * x_a + (1.0 - lam) * x_b
     order = np.argsort(outcomes, kind="stable")
     x, q = outcomes[order], probs[order]
     starts = np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] > MERGE_TOL)))
@@ -84,7 +110,7 @@ def _compromise_lottery(p: PlatformPair, shares, probs, power: PowerMap) -> Poli
     lot = PolicyLottery(outcomes=x[starts], probabilities=merged)
     if abs(lot.probabilities.sum() - 1.0) > 1e-12:
         raise InternalConsistencyError("lottery probabilities do not sum to one")
-    lo, hi = min(p.x_a[0], p.x_b[0]), max(p.x_a[0], p.x_b[0])
+    lo, hi = min(x_a, x_b), max(x_a, x_b)
     if lot.outcomes.min() < lo - 1e-12 or lot.outcomes.max() > hi + 1e-12:
         raise InternalConsistencyError("lottery support escaped the platform interval")
     return lot
@@ -176,14 +202,29 @@ def premium_sweep(dist: VoterDistribution, utility: PowerUtility, total_power: f
                   premiums, shock: Shock) -> PremiumSweep:
     """Equilibrium and welfare along a grid of majority premiums.
 
-    Each premium rebuilds the power map, recomposes the reduced payoff,
-    solves the closed-form equilibrium, and decomposes welfare of the
-    implemented-policy lottery. A row builds one vote-share lottery: the
-    electorate keeps the one the checked solve verified the payoff identity
-    on, and ``policy_lottery`` reads it back. As the premium approaches the
-    total, the platforms converge to the median type (provided it carries
-    mass) and welfare approaches first-best less the squared
-    median-to-optimum gap.
+    Each row is the closed-form equilibrium and the welfare decomposition
+    under ``compose_reduced_payoff(utility, majority_premium_power(total_power,
+    premium))``, every check of that composition included. The premiums are
+    taken in blocks sized so that no block-wide array exceeds
+    ``_CHECK_BLOCK_BYTES``, so memory stays flat in their number. Within a
+    block, each stage runs once over the rows: the power map and the payoff
+    on the validation grid with their checks, the payoff at the cumulative
+    shares, the weights, the risk-neutral benchmark, the preference gaps and
+    their sort, and the equilibrium checks. Only the steps whose sizes differ
+    from row to row run per row: merging near-tied gaps into the vote-share
+    lottery, the payoff identity against it, the compromise lottery and
+    ``welfare_decomposition``.
+
+    Rows are the same floats as building those objects one premium at a
+    time: every ``utility.evaluate`` call gets the 1-D array a lone premium
+    would give it, and every platform and benchmark is a 1-D dot product.
+    Errors are those of the per-premium composition too: a sweep raises the
+    error of its first failing row, once the rows before it have passed
+    every check, and an out-of-range premium anywhere raises before any row.
+
+    As the premium approaches the total, the platforms converge to the
+    median type (provided it carries mass) and welfare approaches
+    first-best less the squared median-to-optimum gap.
     """
     if dist.dimension != 1:
         raise DimensionError("premium sweep requires one policy dimension")
@@ -193,15 +234,111 @@ def premium_sweep(dist: VoterDistribution, utility: PowerUtility, total_power: f
             raise PreconditionError(f"premium {p:g} outside [0, total)")
     median, median_idx = median_bliss(dist)
     median_share = float(dist.shares[median_idx]) if median_idx is not None else 0.0
+    step = max(1, _CHECK_BLOCK_BYTES // (8 * max(len(_GRID), dist.n_types + 1)))
     rows = []
-    for p in premiums:
-        power = majority_premium_power(total_power, p)
-        nu = compose_reduced_payoff(utility, power, normalize=True)
-        eq = equilibrium_1d(dist, nu, shock)
-        lot = policy_lottery(eq.pair, dist, power, shock)
-        rep = welfare_decomposition(lot, dist)
-        rows.append(SweepRow(rho_m=p, x_low=eq.x_low, x_high=eq.x_high, distance=eq.distance,
-                             mean=rep.mean_policy, variance=rep.variance,
-                             bias_sq=rep.bias_sq, welfare=rep.welfare))
+    for k in range(0, len(premiums), step):
+        rows += _sweep_block(dist, utility, float(total_power), premiums[k:k + step], shock)
     return PremiumSweep(rows=tuple(rows), median=median, median_share=median_share,
                         limit_assertions=median_share > 0.0)
+
+
+def _sweep_block(dist, utility, total, premiums, shock):
+    """Sweep rows of a block of premiums; see ``premium_sweep``.
+
+    Each check runs on the rows that passed every check before it (see
+    ``_cut``), so a failing row ends the block: the rows before it go on
+    through the later stages, and its error is raised after them.
+    """
+    h = shock.half_width
+    prem = np.array(premiums)[:, None]
+    rows, error = len(premiums), None
+
+    # the power map and the reduced payoff on the validation grid
+    grid_power = _premium_power(total, prem, unit_clamp(_GRID))
+    rows, error = _cut(rows, error, _POWER_GRID_CHECKS, grid_power, total)
+    rows, error = _cut(rows, error, _SAME_TOTAL, utility.total, total)
+    vals = _utility_rows(utility, grid_power[:rows])
+    del grid_power
+    offset = vals[:, 0].copy()
+    scale = vals[:, -1] - offset
+    rows, error = _cut(rows, error, _NORMALIZABLE, scale)
+    vals = vals[:rows]
+    offset, scale = offset[:rows, None], scale[:rows, None]
+    vals -= offset
+    vals /= scale
+    rows, error = _cut(rows, error, _COMPOSED_PAYOFF_CHECKS, vals)
+    rows, error = _cut(rows, error, _NORMALIZED, vals[:, 0], vals[:, -1])
+    value_at_zero, value_at_one = vals[:rows, 0].tolist(), vals[:rows, -1].tolist()
+    del vals
+
+    # the closed-form solve, its checks and the sorted preference gaps
+    order = dist.ascending_order()
+    x = dist.bliss[order, 0]
+    diverse = dist.n_types > 1          # one type: both platforms on it, unchecked
+    if diverse:
+        heads, tails = _head_tail_shares(dist.shares[order])
+        head_power = _premium_power(total, prem[:rows], heads)
+        nu_heads = (_utility_rows(utility, head_power) - offset[:rows]) / scale[:rows]
+        tail_power = _premium_power(total, prem[:rows], tails)
+        nu_tails = (_utility_rows(utility, tail_power) - offset[:rows]) / scale[:rows]
+        w_low, w_high = _weights_from_values(nu_heads, nu_tails)
+        x_low = [float(w @ x) for w in w_low]
+        x_high = [float(w @ x) for w in w_high]
+        x_rn = [float(w @ x) for w in _risk_neutral_weights(head_power, total)]
+    else:
+        x_low = x_high = [float(x[0])] * rows
+    low, high = np.array(x_low).reshape(-1, 1, 1), np.array(x_high).reshape(-1, 1, 1)
+    gaps = _gap_values(dist.bliss, high, low)
+    rows, error = _cut(rows, error, _GAP_CHECKS, gaps)
+    if diverse:
+        rows, error = _cut(rows, error, _WEIGHT_CHECKS, w_low)
+        rows, error = _cut(rows, error, _WEIGHT_CHECKS, w_high)
+        rows, error = _cut(rows, error, _PLATFORM_CHECKS, np.stack((x_low, x_rn, x_high), axis=-1),
+                           x[0], x[-1])
+    gap_order = np.argsort(gaps[:rows], axis=-1, kind="stable")
+    sorted_gaps = np.take_along_axis(gaps[:rows], gap_order, axis=-1)
+    sorted_shares = dist.shares[gap_order]
+
+    # per row, the steps whose sizes differ from row to row
+    out = []
+    for i in range(rows):
+        xl, xh = x_low[i], x_high[i]
+        shares, probs = _merged_gap_lottery(sorted_gaps[i], sorted_shares[i], h)
+        power = _premium_power(total, premiums[i], unit_clamp(shares))
+        if diverse:
+            nu = (utility.evaluate(power) - offset[i, 0]) / scale[i, 0]
+            _check_payoff_identity(
+                _distance_identity(value_at_zero[i], value_at_one[i], h, (xh - xl) ** 2),
+                float(np.dot(nu, probs)))
+        rep = welfare_decomposition(_compromise_lottery(xh, xl, power / total, probs), dist)
+        out.append(SweepRow(rho_m=premiums[i], x_low=xl, x_high=xh, distance=xh - xl,
+                            mean=rep.mean_policy, variance=rep.variance,
+                            bias_sq=rep.bias_sq, welfare=rep.welfare))
+    if error is not None:
+        raise error
+    return out
+
+
+def _cut(rows, error, checks, *args):
+    """``(rows, error)`` once ``checks`` have run on the first ``rows`` rows of the array ``args``.
+
+    The first row a check fails becomes the block's new end, and that
+    check's error the pending one. Other arguments are passed whole; a check
+    on them alone fails every row or none.
+    """
+    for failed, err, message in checks:
+        if not rows:
+            break
+        hit = np.flatnonzero(failed(*(a[:rows] if isinstance(a, np.ndarray) else a
+                                      for a in args)))
+        if hit.size:
+            rows, error = int(hit[0]), err(message)
+    return rows, error
+
+
+def _utility_rows(utility, power):
+    """``utility.evaluate`` of each row of ``power``, one 1-D call per row."""
+    out = np.empty(power.shape)
+    for i, row in enumerate(power):
+        out[i] = utility.evaluate(row)
+    return out

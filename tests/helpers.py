@@ -306,6 +306,33 @@ def fresh_solve(fn, dist, *args):
     return fn(copy, *args)
 
 
+def oracle_premium_sweep(dist, utility, total_power, premiums, shock):
+    """``premium_sweep`` composed from the model objects, one premium at a time.
+
+    Per premium: the power map, the composed reduced payoff, the checked
+    closed-form solve, the policy lottery and the welfare decomposition,
+    on a fresh copy of ``dist`` so that no row reads what another stored.
+    """
+    premiums = [float(p) for p in premiums]
+    for p in premiums:
+        if not 0.0 <= p < total_power:
+            raise pc.PreconditionError(f"premium {p:g} outside [0, total)")
+    median, idx = pc.median_bliss(dist)
+    share = float(dist.shares[idx]) if idx is not None else 0.0
+    rows = []
+    for p in premiums:
+        fresh = pc.VoterDistribution(dist.bliss.copy(), dist.shares.copy(), dist.labels)
+        power = pc.majority_premium_power(total_power, p)
+        nu = pc.compose_reduced_payoff(utility, power, normalize=True)
+        eq = pc.equilibrium_1d(fresh, nu, shock)
+        rep = pc.welfare_decomposition(pc.policy_lottery(eq.pair, fresh, power, shock), fresh)
+        rows.append(pc.SweepRow(rho_m=p, x_low=eq.x_low, x_high=eq.x_high, distance=eq.distance,
+                                mean=rep.mean_policy, variance=rep.variance,
+                                bias_sq=rep.bias_sq, welfare=rep.welfare))
+    return pc.PremiumSweep(rows=tuple(rows), median=median, median_share=share,
+                           limit_assertions=share > 0.0)
+
+
 def oracle_policy_merge(outcomes, probabilities):
     """``(outcomes, probabilities)`` merged by the one-outcome-at-a-time loop.
 

@@ -448,6 +448,18 @@ class TestSubcommands:
             f"error: platform gap leaves the floating-point range at period {period}\n")
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("horizon", [0, 1, 50])
+    def test_dynamics_infinite_growth_ratio_exit_three(self, tmp_path, capsys, horizon):
+        # with horizon 0 no period ran, and this exited 4 serializing growth_ratio inf
+        scenario = json.loads((SCENARIOS / "dynamics.json").read_text())
+        scenario["task"].update(theta_high=1e308, horizon=horizon)
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["dynamics", "--scenario", path, "--out", str(out), "--format", "both"]) == 3
+        assert capsys.readouterr().err == (
+            "error: growth ratio 2 * theta_high * separation is inf, not finite\n")
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("value", [float("inf"), -np.inf, np.float64("nan")])
     def test_non_finite_numbers_are_not_serialized(self, tmp_path, value):
         with pytest.raises(InternalConsistencyError, match="non-finite"):

@@ -11,7 +11,7 @@ import pytest
 
 import polcomp as pc
 from polcomp.errors import PreconditionError
-from polcomp.payoffs import _PLACEMENT_BLOCK
+from polcomp.payoffs import _PLACEMENT_BLOCK, _premium_power
 
 from helpers import (PLACEMENT_SCHEDULES, oracle_placement_utility, placement_bit_digests,
                      placement_points)
@@ -121,6 +121,14 @@ class TestMajorityPremium:
             assert type(got) is type(want) and got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("total", [1.0, 2.5])
+    def test_premium_column_gives_single_premium_rows(self, total):
+        premiums = np.array([0.0, 0.3, 0.5, total - 1e-6])
+        share = np.concatenate(([-0.0, 0.5, np.nan, 1e-300], np.linspace(0.0, 1.0, 1001)))
+        rows = _premium_power(total, premiums[:, None], share)
+        for row, premium in zip(rows, premiums):
+            assert row.tobytes() == _premium_power(total, premium, share).tobytes()
 
     def test_one_sided_limits(self):
         rho = pc.majority_premium_power(2.0, 1.0)

@@ -9,9 +9,9 @@ from polcomp import model, welfare
 from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
 from helpers import (
-    fresh_solve,
     oracle_direct_welfare,
     oracle_policy_merge,
+    oracle_premium_sweep,
     random_diverse_instance,
     shock_for,
 )
@@ -58,9 +58,18 @@ def _line_electorate(rng, n):
     return pc.VoterDistribution(rng.permutation(x), w / w.sum())
 
 
+def _power_share(shares, power):
+    return np.asarray(power.evaluate(shares), dtype=float) / power.total
+
+
 def _compromise_outcomes(pair, shares, power):
-    lam = np.asarray(power.evaluate(shares), dtype=float) / power.total
+    lam = _power_share(shares, power)
     return lam * pair.x_a[0] + (1.0 - lam) * pair.x_b[0]
+
+
+def _compromise_lottery(pair, shares, probs, power):
+    return welfare._compromise_lottery(pair.x_a[0], pair.x_b[0], _power_share(shares, power),
+                                       probs)
 
 
 def _same_bits(lot, outcomes, probabilities):
@@ -129,7 +138,7 @@ class TestPolicyLottery:
     def test_merge_matches_loop_on_planted_runs(self, case):
         pair, shares, probs, power = case
         want = oracle_policy_merge(_compromise_outcomes(pair, shares, power), probs)
-        assert _same_bits(welfare._compromise_lottery(pair, shares, probs, power), *want)
+        assert _same_bits(_compromise_lottery(pair, shares, probs, power), *want)
 
     def test_long_block_adds_left_to_right(self):
         # a pairwise sum rounds 1 + 2^-53 + 2^-53 up to 1 + 2^-52; left to right it stays 1
@@ -137,7 +146,7 @@ class TestPolicyLottery:
         shares = 0.25 + 1e-13 * np.arange(4)
         probs = np.array([1.0, 2.0**-53, 2.0**-53, 0.0])
         assert np.add.reduceat(probs, [0]).tolist() == [1.0 + 2.0**-52]
-        lot = welfare._compromise_lottery(pair, shares, probs, pc.proportional_power())
+        lot = _compromise_lottery(pair, shares, probs, pc.proportional_power())
         assert lot.outcomes.tolist() == [0.25]
         assert lot.probabilities.tolist() == [1.0]
         assert _same_bits(lot, *oracle_policy_merge(shares, probs))
@@ -148,7 +157,7 @@ class TestPolicyLottery:
         pair = pc.PlatformPair([1.0], [0.0])
         shares = 0.25 + 0.4e-12 * np.arange(4)
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        lot = welfare._compromise_lottery(pair, shares, probs, pc.proportional_power())
+        lot = _compromise_lottery(pair, shares, probs, pc.proportional_power())
         assert lot.outcomes.tolist() == [0.25]
         assert lot.probabilities.tolist() == [1.0]
         assert len(oracle_policy_merge(shares, probs)[0]) == 2
@@ -244,15 +253,85 @@ class TestPremiumSweep:
         premiums = [0.0, 0.3, 0.6]
         sweep = pc.premium_sweep(three_type_symmetric, u, 1.0, premiums, pc.Shock(5.0))
         assert len(builds) == len(premiums)
-        for row, premium in zip(sweep.rows, premiums):
-            power = pc.majority_premium_power(1.0, premium)
-            eq = fresh_solve(pc.equilibrium_1d, three_type_symmetric,
-                             pc.compose_reduced_payoff(u, power), pc.Shock(5.0))
-            rep = pc.welfare_decomposition(
-                fresh_solve(lambda d: pc.policy_lottery(eq.pair, d, power, pc.Shock(5.0)),
-                            three_type_symmetric),
-                three_type_symmetric)
-            assert row.welfare == rep.welfare and row.mean == rep.mean_policy
+        want = oracle_premium_sweep(three_type_symmetric, u, 1.0, premiums, pc.Shock(5.0))
+        assert [r.astuple() for r in sweep.rows] == [r.astuple() for r in want.rows]
+
+    @pytest.mark.parametrize("count", [1, 130])
+    @pytest.mark.parametrize("total", [1.0, 2.5])
+    @pytest.mark.parametrize("preset", ["quadratic", "sqrt-sharing", "placement-linear"])
+    def test_rows_match_per_premium_oracle(self, preset, total, count):
+        # 130 premiums span three blocks; placement-linear sums its Simpson rows
+        # in BLAS blocks, so a row computed from a reshaped input would differ
+        params = {"intercept": 2.0 * total} if preset == "placement-linear" else {}
+        u = pc.utility_preset(preset, total_power=total, **params)
+        rng = np.random.default_rng([count, int(10 * total)])
+        dist = _line_electorate(rng, 23)
+        premiums = list(rng.uniform(0.0, 0.95 * total, size=count))
+        shock = shock_for(dist)
+        got = pc.premium_sweep(dist, u, total, premiums, shock)
+        want = oracle_premium_sweep(dist, u, total, premiums, shock)
+        assert [r.astuple() for r in got.rows] == [r.astuple() for r in want.rows]
+        assert (got.median, got.median_share, got.limit_assertions) == \
+            (want.median, want.median_share, want.limit_assertions)
+
+    @settings(max_examples=15, deadline=None)
+    @given(premiums=st.lists(PREMIUMS, min_size=1, max_size=6))
+    def test_row_depends_only_on_its_premium(self, premiums):
+        dist = _line_electorate(np.random.default_rng(46), 7)
+        u = pc.utility_preset("sqrt-sharing")
+        shock = shock_for(dist)
+        rows = [r.astuple() for r in pc.premium_sweep(dist, u, 1.0, premiums, shock).rows]
+        alone = [pc.premium_sweep(dist, u, 1.0, [p], shock).rows[0].astuple() for p in premiums]
+        backwards = pc.premium_sweep(dist, u, 1.0, premiums[::-1], shock).rows
+        assert rows == alone == [r.astuple() for r in backwards][::-1]
+
+    @pytest.mark.parametrize("premiums,shock,error,message", [
+        # the reduced payoff of placement-linear plateaus and then dips near a
+        # full premium, a known defect that makes a natural failing row
+        ([0.5, 0.999999, 0.3], 5.0, PreconditionError,
+         "reduced payoff decreases on the validation grid"),
+        # row 0 fails a per-row check after row 1 failed a block-wide one:
+        # row 0's error wins, as in a loop over the rows
+        ([0.3, 0.999999], 0.5, InternalConsistencyError, "payoff identity "),
+        ([0.999999, 0.3], 0.5, PreconditionError, "reduced payoff decreases"),
+    ])
+    def test_first_failing_row_raises(self, three_type_symmetric, premiums, shock, error,
+                                      message):
+        u = pc.utility_preset("placement-linear")
+        raised = []
+        for sweep in (pc.premium_sweep, oracle_premium_sweep):
+            with pytest.raises(error) as info:
+                sweep(three_type_symmetric, u, 1.0, premiums, pc.Shock(shock))
+            raised.append(str(info.value))
+        assert raised[0].startswith(message) and raised[0] == raised[1]
+
+    def test_out_of_range_premium_raises_before_any_row(self, three_type_symmetric):
+        calls = []
+        quad = pc.utility_preset("quadratic")
+        u = pc.PowerUtility(lambda r: calls.append(1) or quad.evaluate(r))
+        calls.clear()
+        for premiums in ([1.0, 0.2], [0.2, 0.5, 1.0], [0.3, -0.1]):
+            with pytest.raises(PreconditionError, match=r"premium .* outside \[0, total\)"):
+                pc.premium_sweep(three_type_symmetric, u, 1.0, premiums, pc.Shock(5.0))
+        assert calls == []
+
+    def test_no_premiums_no_rows(self, three_type_symmetric):
+        sweep = pc.premium_sweep(three_type_symmetric, pc.utility_preset("quadratic"), 1.0, [],
+                                 pc.Shock(5.0))
+        assert sweep.rows == () and sweep.limit_assertions
+
+    def test_memory_flat_in_premiums(self):
+        dist = _line_electorate(np.random.default_rng(47), 50)
+        u = pc.utility_preset("quadratic")
+        premiums = np.linspace(0.0, 0.95, 1000)
+        tracemalloc.start()
+        try:
+            sweep = pc.premium_sweep(dist, u, 1.0, premiums, shock_for(dist))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sweep.rows) == 1000
+        assert peak < 2 << 20
 
     def test_symmetric_three_type_sweep(self, three_type_symmetric):
         u = pc.utility_preset("quadratic")
