@@ -31,7 +31,6 @@ def separation_coefficient(nu: ReducedPayoff) -> float:
     positive for strictly concave payoffs, zero at the risk-neutral
     boundary.
     """
-    nu.require_normalized()
     return float(2.0 * nu.value_at_half - (nu.value_at_one + nu.value_at_zero))
 
 
@@ -84,7 +83,6 @@ def information_platforms(scenario: InfoScenario, nu: ReducedPayoff) -> InfoPlat
     times the posterior's distance from an even split (negative separation
     means the labeled targets swap).
     """
-    nu.require_normalized()
     post = scenario.posterior_conflict
     lo_gain = nu.value_at_half - nu.value_at_zero   # winning the contested voter from behind
     hi_gain = nu.value_at_one - nu.value_at_half    # completing a sweep
@@ -157,6 +155,8 @@ class FeedbackParams:
             raise PreconditionError("cost and shock half-width must be positive")
         if self.gap < 0.0 or self.horizon < 0:
             raise PreconditionError("gap and horizon must be nonnegative")
+        if not math.isfinite(self.gap * self.gap):
+            raise PreconditionError(f"gap {self.gap} squared is not finite")
         if not math.isfinite(self.growth_ratio):
             raise PreconditionError(
                 f"growth ratio 2 * theta_high * separation is {self.growth_ratio}, not finite")

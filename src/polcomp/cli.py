@@ -24,8 +24,7 @@ the labels of one electorate, defaults included, must be distinct::
       "payoff": {"preset": "quadratic" | "sqrt-sharing" | "placement-linear",
                  "params": {...},            # optional preset parameters
                  "total_power": 1.0,         # optional
-                 "majority_premium": 0.0,    # optional
-                 "normalize": true},         # optional
+                 "majority_premium": 0.0},   # optional
       "shock": {"half_width": 1.0},
       "seed": 0,                             # optional, >= 0
       "task": {...}                          # per-subcommand block
@@ -34,6 +33,7 @@ the labels of one electorate, defaults included, must be distinct::
 A payoff block may carry ``"direct": {"kind": "linear"}`` or
 ``{"kind": "power", "exponent": e}`` instead of ``preset`` to specify the
 vote-share payoff without a microfoundation (used for boundary checks).
+Every payoff is rescaled to unit span; ``payoff.normalize`` is an unknown key (exit 2).
 
 Task blocks: eq1d {"monte_carlo_draws": n?}; eqkd {};
 classify {}; spread {"candidate": {"types": [...]}};
@@ -43,10 +43,11 @@ premium-sweep {"premiums": [...]}; info {"salience", "prior_common",
 "theta_low", "cost", "horizon"}; validate ignores the task block (it
 belongs to whichever subcommand will consume the scenario). dynamics
 exits 3 when a platform gap leaves the floating-point range, naming the
-period, and when its growth ratio is not finite, whatever the horizon.
-validate's
-``checks.shares_valid`` is always true: invalid or non-finite shares exit 3
-while the scenario is parsed, before any record is written.
+period, and when its growth ratio or squared gap is not finite, whatever
+the horizon. validate's ``checks.shares_valid`` and
+``checks.payoff_normalized`` are always true: every payoff has unit span,
+and invalid shares, bliss points whose squared ranges overflow and a shock
+half-width whose double overflows exit 3 while the scenario is parsed.
 
 Every run writes ``<out>/<subcommand>.json``; with ``--format csv`` or
 ``both`` the subcommands below add fixed-column CSVs (17 significant
@@ -207,30 +208,25 @@ PayoffBundle = namedtuple("PayoffBundle", "nu utility power total")
 
 def _parse_payoff(block) -> PayoffBundle:
     _expect(block, "payoff",
-            optional=("preset", "params", "direct", "total_power", "majority_premium",
-                      "normalize"))
+            optional=("preset", "params", "direct", "total_power", "majority_premium"))
     has_preset = "preset" in block
     has_direct = "direct" in block
     if has_preset == has_direct:
         raise SchemaError("payoff block needs exactly one of 'preset' or 'direct'")
     total = _number(block, "total_power", "payoff") if "total_power" in block else 1.0
     premium = _number(block, "majority_premium", "payoff") if "majority_premium" in block else 0.0
-    normalize = block.get("normalize", True)
-    if not isinstance(normalize, bool):
-        raise SchemaError("payoff.normalize must be a boolean")
     if has_direct:
         spec = _expect(block["direct"], "payoff.direct", required=("kind",),
                        optional=("exponent",))
         kind = spec["kind"]
         if kind == "linear":
             nu = model.ReducedPayoff(lambda s: np.asarray(s, dtype=float),
-                                     normalize=normalize, provenance="direct[linear]")
+                                     provenance="direct[linear]")
         elif kind == "power":
             exponent = _number(spec, "exponent", "payoff.direct") if "exponent" in spec else 0.5
             if not 0.0 < exponent <= 1.0:
                 raise SchemaError("payoff.direct.exponent must lie in (0, 1]")
             nu = model.ReducedPayoff(lambda s, e=exponent: np.asarray(s, dtype=float) ** e,
-                                     normalize=normalize,
                                      provenance=f"direct[power {exponent:g}]")
         else:
             raise SchemaError(f"unknown direct payoff kind {kind!r}")
@@ -248,7 +244,7 @@ def _parse_payoff(block) -> PayoffBundle:
     except TypeError as exc:
         raise SchemaError(f"bad payoff params: {exc}") from exc
     power = payoffs.majority_premium_power(total, premium)
-    nu = payoffs.compose_reduced_payoff(utility, power, normalize=normalize)
+    nu = payoffs.compose_reduced_payoff(utility, power)
     return PayoffBundle(nu, utility, power, total)
 
 
@@ -448,7 +444,7 @@ def _cmd_validate(dist, bundle, shock, seed, task):
     support = model.check_shock_support(dist, shock)
     checks = {
         "shares_valid": True,
-        "payoff_normalized": nu.unit_span,
+        "payoff_normalized": True,
         "payoff_strictly_concave": nu.strictly_concave,
         "minority_gain_strict": nu.minority_gain_strict,
         "minority_gain_at_half": list(nu.minority_gain_at_half),

@@ -118,10 +118,9 @@ def risk_neutral_benchmark(dist: VoterDistribution, power) -> float:
     if dist.dimension != 1:
         raise DimensionError("risk_neutral_benchmark requires a one-dimensional electorate")
     order = dist.ascending_order()
-    x = dist.bliss[order, 0]
-    heads = np.concatenate(([0.0], np.cumsum(dist.shares[order])))
-    rho = np.asarray(power.evaluate(unit_clamp(heads)), dtype=float)
-    return float(_risk_neutral_weights(rho, power.total) @ x)
+    heads, _ = _head_tail_shares(dist.shares[order])
+    rho = np.asarray(power.evaluate(heads), dtype=float)
+    return float(_risk_neutral_weights(rho, power.total) @ dist.bliss[order, 0])
 
 
 def _risk_neutral_weights(head_power, total):
@@ -130,14 +129,16 @@ def _risk_neutral_weights(head_power, total):
 
 
 def _head_tail_shares(shares_sorted):
-    """Cumulative shares ``(heads, tails)`` of ascending-sorted types, each clamped to [0, 1].
+    """Cumulative shares ``(heads, tails)`` along the last axis, each clamped to [0, 1].
 
     ``heads`` starts at 0 and ``tails`` ends at 0. Tail shares accumulate
     backwards to limit cancellation.
     """
-    heads = np.concatenate(([0.0], unit_clamp(np.cumsum(shares_sorted))))
-    tails = np.concatenate((unit_clamp(np.cumsum(shares_sorted[::-1])[::-1]), [0.0]))
-    return heads, tails
+    shape = shares_sorted.shape[:-1] + (shares_sorted.shape[-1] + 1,)
+    heads, tails = np.zeros(shape), np.zeros(shape)
+    np.cumsum(shares_sorted, axis=-1, out=heads[..., 1:])
+    np.cumsum(shares_sorted[..., ::-1], axis=-1, out=tails[..., -2::-1])   # written back to front
+    return unit_clamp(heads), unit_clamp(tails)
 
 
 def equilibrium_weights(shares_sorted: np.ndarray, nu: ReducedPayoff):
@@ -161,13 +162,12 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
                    check: bool = True) -> Equilibrium1D:
     """Closed-form unidimensional equilibrium.
 
-    Requires a payoff normalized to unit span. With ``check`` the result is
-    verified: weights in (0, 1) summing to one, platforms strictly inside
-    the bliss range and bracketing the risk-neutral benchmark, the payoff
-    identity against the exact integrator, and the shock support at the
-    computed platforms. Pass ``check=False`` to inspect the mechanical
-    output for boundary inputs (e.g. a linear payoff collapses both
-    platforms onto one point).
+    With ``check`` the result is verified: weights in (0, 1) summing to
+    one, platforms strictly inside the bliss range and bracketing the
+    risk-neutral benchmark, the payoff identity against the exact
+    integrator, and the shock support at the computed platforms. Pass
+    ``check=False`` to inspect the mechanical output for boundary inputs
+    (e.g. a linear payoff collapses both platforms onto one point).
 
     The electorate keeps its latest verified solve: a checked call with the
     same ``nu`` object and an equal ``Shock`` returns the same read-only
@@ -186,7 +186,6 @@ def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
            check: bool) -> Equilibrium1D:
     if dist.dimension != 1:
         raise DimensionError("equilibrium_1d requires a one-dimensional electorate")
-    nu.require_normalized()
     power = nu.power_map if nu.power_map is not None else proportional_power()
 
     if dist.n_types == 1:

@@ -44,6 +44,7 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _gap_values,
     _read_only,
     _sorted_gap_lottery,
     as_pair,
@@ -51,7 +52,8 @@ from .model import (
     expected_payoff,
     preference_gaps,
 )
-from .equilibrium1d import _median_cut, _weights_from_values, equilibrium_weights, is_spread
+from .equilibrium1d import (_head_tail_shares, _median_cut, _weights_from_values,
+                            equilibrium_weights, is_spread)
 
 RANK_TOL = 1e-9
 ENUM_BUDGET = math.factorial(8) * 8     # entries a ranking search may touch: 8 types' n!·n
@@ -235,13 +237,7 @@ def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff
     (tails accumulated backwards), payoff increments along them, and the
     weighted averages. All rows are computed at once.
     """
-    m, n = perms.shape
-    shares = dist.shares[perms]
-    cum = np.zeros((2, m, n + 1))           # heads with a leading 0, tails with a trailing 0
-    cum[0, :, 1:] = np.cumsum(shares, axis=1)
-    cum[1, :, :-1] = np.cumsum(shares[:, ::-1], axis=1)[:, ::-1]
-    np.clip(cum, 0.0, 1.0, out=cum)
-    nu_heads, nu_tails = _nu_on_distinct(nu, cum)
+    nu_heads, nu_tails = _nu_on_distinct(nu, np.stack(_head_tail_shares(dist.shares[perms])))
     return _weighted_sides(*_weights_from_values(nu_heads, nu_tails), dist.bliss[perms])
 
 
@@ -251,9 +247,8 @@ def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
     The rule of ``induced_ranking``, made for every row at once: a row's
     gaps, taken in its order, must rise by at least ``RANK_TOL`` at each step.
     """
-    d_b = np.sum((dist.bliss - low[:, None, :]) ** 2, axis=2)
-    d_a = np.sum((dist.bliss - high[:, None, :]) ** 2, axis=2)
-    return _rises(np.take_along_axis(d_b - d_a, perms, axis=1))
+    gaps = _gap_values(dist.bliss, high[:, None, :], low[:, None, :])
+    return _rises(np.take_along_axis(gaps, perms, axis=1))
 
 
 def _stored_table(dist, nu):
@@ -293,7 +288,6 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     expected payoffs must match the distance identity within 1e-8.
     """
     rows, high, low = _stored_table(dist, nu)
-    nu.require_normalized()
     kept = np.flatnonzero(_self_consistent(rows, high, low, dist))
     found = []
     for perm, x_a, x_b in zip(rows[kept], high[kept], low[kept]):

@@ -94,6 +94,12 @@ class VoterDistribution:
             raise PreconditionError("bliss points of types {} and {} coincide".format(*duplicate))
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("bliss points must be finite")
+        with np.errstate(over="ignore"):    # the largest gap corner platforms make
+            ranges = pts.max(axis=0) - pts.min(axis=0)
+            self._extreme_gap = float(np.add.reduce(ranges * ranges))
+        if not self._extreme_gap < np.inf:
+            raise PreconditionError("bliss points spread too far: the sum of squared "
+                                    "coordinate ranges overflows")
         if labels is None:
             labels = tuple(f"type{i}" for i in range(pts.shape[0]))
         else:
@@ -155,6 +161,9 @@ class Shock:
     def __post_init__(self):
         if not 0.0 < self.half_width < np.inf:
             raise PreconditionError("shock half-width must be positive and finite")
+        if not 2.0 * float(self.half_width) < np.inf:     # a float64 would warn
+            raise PreconditionError(
+                f"shock half-width {self.half_width:.17g} overflows when doubled")
 
     @property
     def density_at_zero(self) -> float:
@@ -264,6 +273,22 @@ class PowerMap:
     __call__ = evaluate
 
 
+def _central_differences(func, total, name):
+    """First and second central differences of ``func`` on a grid over [0, total].
+
+    Raises ``PreconditionError`` unless ``total`` is positive and, naming
+    ``name``, unless every value is finite.
+    """
+    if not total > 0.0:
+        raise PreconditionError("total power must be positive")
+    h = _FD_STEP * total
+    pts = np.linspace(h, total - h, 999)
+    up, mid, dn = (np.asarray(func(x), dtype=float) for x in (pts + h, pts, pts - h))
+    if not np.all(np.isfinite((up, mid, dn))):
+        raise PreconditionError(f"{name} must be finite on the validation grid")
+    return (up - dn) / (2.0 * h), (up - 2.0 * mid + dn) / (h * h)
+
+
 class PowerUtility:
     """Party utility over political power: strictly increasing, strictly concave.
 
@@ -271,20 +296,10 @@ class PowerUtility:
     """
 
     def __init__(self, func, total=1.0, description="custom"):
-        if not total > 0.0:
-            raise PreconditionError("total power must be positive")
         self._func = func
         self.total = float(total)
         self.description = description
-        h = _FD_STEP * self.total
-        pts = np.linspace(h, self.total - h, 999)
-        up = self.evaluate(pts + h)
-        mid = self.evaluate(pts)
-        dn = self.evaluate(pts - h)
-        if not np.all(np.isfinite((up, mid, dn))):
-            raise PreconditionError("power utility must be finite on the validation grid")
-        first = (up - dn) / (2.0 * h)
-        second = (up - 2.0 * mid + dn) / (h * h)
+        first, second = _central_differences(self.evaluate, self.total, "power utility")
         if np.any(first <= 0.0):
             raise PreconditionError("power utility must be strictly increasing")
         if np.any(second >= 0.0):
@@ -298,8 +313,7 @@ class PowerUtility:
 
 
 # ReducedPayoff's checks: the raw span before normalizing, then the values on
-# the validation grid (composed payoffs may plateau, see the class docstring),
-# then require_normalized's
+# the validation grid (composed payoffs may plateau, see the class docstring)
 _NORMALIZABLE = ((lambda span: span <= 0.0, PreconditionError,
                   "cannot normalize: payoff span over [0, 1] is not positive"),)
 _FINITE_PAYOFF = (lambda vals: ~np.isfinite(vals).all(axis=-1), PreconditionError,
@@ -317,23 +331,16 @@ _DIRECT_PAYOFF_CHECKS = (
 )
 
 
-def _off_unit_span(value_at_zero, value_at_one):
-    """Whether the span ``value_at_one - value_at_zero`` misses one by more than 1e-12; NaN does."""
-    return np.logical_not(abs(value_at_one - value_at_zero - 1.0) <= 1e-12)
-
-
-_NORMALIZED = ((_off_unit_span, PreconditionError,
-                "operation requires a payoff normalized to unit span"),)
-
-
 class ReducedPayoff:
     """Map from a party's vote share to its payoff, with diagnostics.
 
     Constructed either directly from a callable or by composing a
     PowerUtility with a PowerMap (see payoffs.compose_reduced_payoff).
-    When ``normalize`` is set the payoff is affinely rescaled so that the
-    full swing from losing every voter to winning every voter is worth
-    exactly one unit.
+    The payoff is affinely rescaled to unit span: with raw values r0 and r1
+    at shares 0 and 1, ``value_at_zero`` is (r0 - r0) / (r1 - r0), exactly
+    0.0, and ``value_at_one`` is (r1 - r0) / (r1 - r0), exactly 1.0. A raw
+    span that is not positive is refused; an infinite one leaves NaN on the
+    grid, refused as not finite.
 
     A callable given alone must be strictly increasing on the validation
     grid. A composed payoff, one given with its ``power_map``, is strictly
@@ -351,20 +358,14 @@ class ReducedPayoff:
       differences on the grid; required by the multidimensional machinery.
     """
 
-    def __init__(self, func, *, normalize=True, provenance="direct", power_map=None,
-                 half_raw=None):
+    def __init__(self, func, *, provenance="direct", power_map=None, half_raw=None):
         # one evaluation of the grid; its ends give the normalization
         raw = np.asarray(func(unit_clamp(_GRID)), dtype=float)
         raw0 = float(raw[0])
-        raw1 = float(raw[-1])
-        span = raw1 - raw0
-        if normalize:
-            _raise_failed(_NORMALIZABLE, span)
-            self._offset, self._scale = raw0, span
-        else:
-            self._offset, self._scale = 0.0, 1.0
+        span = float(raw[-1]) - raw0
+        _raise_failed(_NORMALIZABLE, span)
+        self._offset, self._scale = raw0, span
         self._func = func
-        self.normalized = bool(normalize)
         self.provenance = provenance
         self.power_map = power_map
 
@@ -406,24 +407,12 @@ class ReducedPayoff:
             self.minority_gain_at_half = (edge_ok, edge_ok)
             self.minority_gain_strict = self.minority_gain_strict and edge_ok
 
-    @property
-    def span(self) -> float:
-        return self.value_at_one - self.value_at_zero
-
-    @property
-    def unit_span(self) -> bool:
-        """Whether the payoff is normalized: its span over [0, 1] is one within 1e-12."""
-        return not _off_unit_span(self.value_at_zero, self.value_at_one)
-
     def evaluate(self, share):
         s = unit_clamp(share)
         out = (np.asarray(self._func(s), dtype=float) - self._offset) / self._scale
         return out if out.shape else float(out)
 
     __call__ = evaluate
-
-    def require_normalized(self):
-        _raise_failed(_NORMALIZED, self.value_at_zero, self.value_at_one)
 
     def require_strictly_concave(self):
         if not self.strictly_concave:
@@ -440,7 +429,7 @@ def preference_gap(pair, bliss) -> float:
     b = np.atleast_1d(np.asarray(bliss, dtype=float))
     if b.shape != p.x_a.shape:
         raise DimensionError(f"bliss point has dimension {b.shape[0]}, platforms {p.dimension}")
-    return float(np.sum((p.x_b - b) ** 2) - np.sum((p.x_a - b) ** 2))
+    return float(_gap_values(b, p.x_a, p.x_b))
 
 
 def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
@@ -454,7 +443,7 @@ def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
 
 
 def _gap_values(bliss, x_a, x_b):
-    """Gaps of the ``bliss`` rows (N, K) at platforms (K,), or (..., 1, K) for a row per pair."""
+    """Gaps of ``bliss`` (N, K) or (K,) at platforms (K,), or (..., 1, K) for a row per pair."""
     d_b = np.sum((bliss - x_b) ** 2, axis=-1)
     d_a = np.sum((bliss - x_a) ** 2, axis=-1)
     with np.errstate(invalid="ignore"):     # inf − inf is NaN, refused by _GAP_CHECKS
@@ -485,9 +474,7 @@ def check_shock_support(dist: VoterDistribution, shock: Shock) -> ShockSupportRe
     the two corner platforms must not escape [-half_width, half_width],
     otherwise interior vote probabilities can hit 0 or 1.
     """
-    hi = dist.bliss.max(axis=0)
-    lo = dist.bliss.min(axis=0)
-    extreme = float(np.sum((hi - lo) ** 2))
+    extreme = dist._extreme_gap
     ok = extreme <= shock.half_width
     if ok:
         msg = "ok"
@@ -565,13 +552,14 @@ def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pa
 def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
     """Distance identity: equilibrium payoff at squared platform distance ``sq``.
 
-    The mean of the payoff's extremes plus the insurance term sq / (2 h).
+    The mean of the payoff's extremes, 0.5 on the unit-span scale, plus the
+    insurance term sq / (2 h).
     """
-    return _distance_identity(nu.value_at_zero, nu.value_at_one, shock.half_width, sq)
+    return _distance_identity(shock.half_width, sq)
 
 
-def _distance_identity(value_at_zero, value_at_one, half_width, sq):
-    return 0.5 * (value_at_one + value_at_zero) + sq / (2.0 * half_width)
+def _distance_identity(half_width, sq):
+    return 0.5 + sq / (2.0 * half_width)
 
 
 # Monte-Carlo shock lookup: buckets per preference gap, and shocks drawn per chunk

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import PowerMap, PowerUtility, ReducedPayoff, _raise_failed
+from .model import PowerMap, PowerUtility, ReducedPayoff, _central_differences, _raise_failed
 
 _SIMPSON_PANELS = 2048
 # nodes/weights for composite Simpson on [0, 1]; rescaled per upper limit
@@ -72,14 +72,10 @@ class CostProfile:
     total_power: float = 1.0
 
     def __post_init__(self):
-        h = 1e-4 * self.total_power
-        pts = np.linspace(h, self.total_power - h, 999)
-        up = np.asarray(self.cost(pts + h), dtype=float)
-        mid = np.asarray(self.cost(pts), dtype=float)
-        dn = np.asarray(self.cost(pts - h), dtype=float)
-        if np.any((up - dn) / (2.0 * h) <= 0.0):
+        first, second = _central_differences(self.cost, self.total_power, "governance cost")
+        if np.any(first <= 0.0):
             raise PreconditionError("governance cost must be strictly increasing")
-        if np.any((up - 2.0 * mid + dn) / (h * h) <= 0.0):
+        if np.any(second <= 0.0):
             raise PreconditionError("governance cost must be strictly convex")
 
 
@@ -182,11 +178,11 @@ _SAME_TOTAL = ((lambda utility_total, power_total: abs(utility_total - power_tot
                 PreconditionError, "utility domain and power map total disagree"),)
 
 
-def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
-                           normalize: bool = True) -> ReducedPayoff:
+def compose_reduced_payoff(utility: PowerUtility, power: PowerMap) -> ReducedPayoff:
     """Reduced vote-share payoff: utility applied to the power map.
 
-    With ``normalize`` the payoff is rescaled to unit span over [0, 1]. The
+    The payoff is rescaled to unit span over [0, 1], so its values at
+    shares 0 and 1 are exactly 0.0 and 1.0 (see ``ReducedPayoff``). The
     one-sided values at a vote share of one half are carried through from
     the power map so that payoff increments across a majority threshold
     stay well defined.
@@ -198,7 +194,6 @@ def compose_reduced_payoff(utility: PowerUtility, power: PowerMap,
 
     return ReducedPayoff(
         nu,
-        normalize=normalize,
         provenance=f"composed[{utility.description} o {power.description}]",
         power_map=power,
         half_raw=(utility.evaluate(power.half_lower), utility.evaluate(power.half_upper)),
@@ -247,8 +242,8 @@ def utility_preset(name: str, *, total_power: float = 1.0, **params) -> PowerUti
 
 
 def payoff_preset(name: str, *, total_power: float = 1.0, majority_premium: float = 0.0,
-                  normalize: bool = True, **params) -> ReducedPayoff:
+                  **params) -> ReducedPayoff:
     """Composed reduced payoff for a named utility preset and premium."""
     utility = utility_preset(name, total_power=total_power, **params)
     power = majority_premium_power(total_power, majority_premium)
-    return compose_reduced_payoff(utility, power, normalize=normalize)
+    return compose_reduced_payoff(utility, power)

@@ -27,7 +27,6 @@ from .model import (
     _GAP_CHECKS,
     _GRID,
     _NORMALIZABLE,
-    _NORMALIZED,
     _POWER_GRID_CHECKS,
     PowerMap,
     PowerUtility,
@@ -267,8 +266,6 @@ def _sweep_block(dist, utility, total, premiums, shock):
     vals -= offset
     vals /= scale
     rows, error = _cut(rows, error, _COMPOSED_PAYOFF_CHECKS, vals)
-    rows, error = _cut(rows, error, _NORMALIZED, vals[:, 0], vals[:, -1])
-    value_at_zero, value_at_one = vals[:rows, 0].tolist(), vals[:rows, -1].tolist()
     del vals
 
     # the closed-form solve, its checks and the sorted preference gaps
@@ -307,9 +304,7 @@ def _sweep_block(dist, utility, total, premiums, shock):
         power = _premium_power(total, premiums[i], unit_clamp(shares))
         if diverse:
             nu = (utility.evaluate(power) - offset[i, 0]) / scale[i, 0]
-            _check_payoff_identity(
-                _distance_identity(value_at_zero[i], value_at_one[i], h, (xh - xl) ** 2),
-                float(np.dot(nu, probs)))
+            _check_payoff_identity(_distance_identity(h, (xh - xl) ** 2), float(np.dot(nu, probs)))
         rep = welfare_decomposition(_compromise_lottery(xh, xl, power / total, probs), dist)
         out.append(SweepRow(rho_m=premiums[i], x_low=xl, x_high=xh, distance=xh - xl,
                             mean=rep.mean_policy, variance=rep.variance,

@@ -323,7 +323,7 @@ def oracle_premium_sweep(dist, utility, total_power, premiums, shock):
     for p in premiums:
         fresh = pc.VoterDistribution(dist.bliss.copy(), dist.shares.copy(), dist.labels)
         power = pc.majority_premium_power(total_power, p)
-        nu = pc.compose_reduced_payoff(utility, power, normalize=True)
+        nu = pc.compose_reduced_payoff(utility, power)
         eq = pc.equilibrium_1d(fresh, nu, shock)
         rep = pc.welfare_decomposition(pc.policy_lottery(eq.pair, fresh, power, shock), fresh)
         rows.append(pc.SweepRow(rho_m=p, x_low=eq.x_low, x_high=eq.x_high, distance=eq.distance,

@@ -213,6 +213,11 @@ class TestFeedbackDynamics:
         partial = separation * params.gap * np.cumsum(powers)
         assert np.max(np.abs(traj.platform_gaps - partial)) <= 1e-10
 
+    @pytest.mark.parametrize("gap", [1e300, np.inf, np.nan])
+    def test_gap_whose_square_overflows_rejected(self, gap):
+        with pytest.raises(PreconditionError, match=r"^gap .* squared is not finite$"):
+            make_params(gap=gap)
+
 
 class TestSelfReinforcement:
     def test_reference_true_case(self):

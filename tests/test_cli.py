@@ -12,6 +12,7 @@ from polcomp.cli import main, run, validate_result_record, SchemaError
 from polcomp.errors import InternalConsistencyError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SPREAD_TOO_FAR = "bliss points spread too far: the sum of squared coordinate ranges overflows"
 
 
 def base_scenario(**task):
@@ -148,7 +149,7 @@ class TestSchemaHandling:
         ("welfare", "task.platforms", [0.0, 0.5, 1.0],
          "task.platforms must be a list of two numbers [x_a, x_b]"),
         ("premium-sweep", "task.premiums", [], "task.premiums must be a non-empty list of numbers"),
-        ("eq1d", "payoff.normalize", 1, "payoff.normalize must be a boolean"),
+        ("eq1d", "payoff.normalize", False, "unknown keys in payoff: ['normalize']"),
         ("eq1d", "payoff", {"direct": {"kind": "power", "exponent": 0}},
          "payoff.direct.exponent must lie in (0, 1]"),
         ("eq1d", "payoff", {"direct": {"kind": "power", "exponent": 1.5}},
@@ -278,6 +279,27 @@ class TestPreconditionHandling:
         assert main([subcommand, "--scenario", path, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / f"{subcommand}.json").exists()
+
+    @pytest.mark.parametrize("subcommand,bliss,half_width,message", [
+        ("eq1d", 1e300, 1e301, SPREAD_TOO_FAR),
+        ("classify", 1e300, 1e301, SPREAD_TOO_FAR),
+        ("welfare", 1e300, 1e301, SPREAD_TOO_FAR),
+        ("validate", 1e308, 1.0, SPREAD_TOO_FAR),
+        ("eq1d", 1.0, 1e308, "shock half-width 1e+308 overflows when doubled"),
+    ])
+    def test_overflowing_numbers_exit_three(self, tmp_path, capsys, subcommand, bliss,
+                                            half_width, message):
+        # eq1d, classify and welfare exited 4 with an OverflowError, validate warned
+        # of an overflow in square, and a doubled half-width of inf gave every
+        # lottery interval probability 0 (exit 4)
+        scenario = json.loads((SCENARIOS / "two_type_plain.json").read_text())
+        scenario["distribution"]["types"][1]["bliss"] = [bliss]
+        scenario["shock"]["half_width"] = half_width
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main([subcommand, "--scenario", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("out/*"))
 
     def test_validate_passes_reference(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario())
@@ -458,6 +480,16 @@ class TestSubcommands:
         assert main(["dynamics", "--scenario", path, "--out", str(out), "--format", "both"]) == 3
         assert capsys.readouterr().err == (
             "error: growth ratio 2 * theta_high * separation is inf, not finite\n")
+        assert not list(out.iterdir())
+
+    def test_dynamics_gap_whose_square_overflows_exit_three(self, tmp_path, capsys):
+        # this exited 4 with an OverflowError squaring the gap in is_self_reinforcing
+        scenario = json.loads((SCENARIOS / "dynamics.json").read_text())
+        scenario["task"]["gap"] = 1e300
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["dynamics", "--scenario", path, "--out", str(out), "--format", "both"]) == 3
+        assert capsys.readouterr().err == "error: gap 1e+300 squared is not finite\n"
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("value", [float("inf"), -np.inf, np.float64("nan")])

@@ -78,6 +78,14 @@ class TestVoterDistribution:
         with pytest.raises(PreconditionError, match=r"^bliss points must be finite$"):
             pc.VoterDistribution(bliss, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bliss", [[0.0, 1e300], [1e308, -1e308],
+                                       [[1e154, 1e154], [-1e154, -1e154]]])
+    def test_overflowing_squared_extent_rejected(self, bliss):
+        with pytest.raises(PreconditionError, match=r"^bliss points spread too far"):
+            pc.VoterDistribution(bliss, [0.5, 0.5])
+        # one squared range of 1e308 still fits
+        assert pc.VoterDistribution([0.0, 1e154], [0.5, 0.5]).n_types == 2
+
     def test_large_electorate_builds(self):
         rng = np.random.default_rng(43)
         n = 3000
@@ -158,8 +166,6 @@ class TestUnitClamp:
         for v in _EDGE_SHARES:
             old = (func(_old_unit_clip(np.asarray(v))) - (-1.0)) / 3.0
             assert _same_bits(nu.evaluate(np.asarray(v)), float(old))
-        raw = pc.ReducedPayoff(lambda s: np.asarray(s, dtype=float), normalize=False)
-        assert _same_bits(raw.evaluate(arr), _old_unit_clip(arr))
 
 
 class TestShock:
@@ -174,6 +180,13 @@ class TestShock:
 
     def test_density_at_zero(self):
         assert pc.Shock(2.0).density_at_zero == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("half_width", [1e308, np.float64(1e308)])
+    def test_half_width_whose_double_overflows_rejected(self, half_width):
+        with pytest.raises(PreconditionError,
+                           match=r"^shock half-width 1e\+308 overflows when doubled$"):
+            pc.Shock(half_width)
+        assert pc.Shock(np.finfo(float).max / 2.0).density_at_zero > 0.0
 
 
 class TestPreferenceGap:
@@ -262,16 +275,36 @@ class TestDistancePayoff:
         assert eq.payoff == 0.5 * (nu_quadratic.value_at_one + nu_quadratic.value_at_zero)
 
 
-class TestUnitSpan:
-    def test_normalized_payoff(self, nu_quadratic):
-        assert nu_quadratic.unit_span
-        nu_quadratic.require_normalized()
+SQ_DISTANCES = st.floats(0.0, 1e3)
+HALF_WIDTHS = st.floats(1e-3, 1e3)
 
-    def test_raw_payoff(self):
-        nu = pc.ReducedPayoff(lambda s: 2.0 * np.asarray(s, dtype=float), normalize=False)
-        assert not nu.unit_span
-        with pytest.raises(PreconditionError, match="unit span"):
-            nu.require_normalized()
+
+def _assert_exact_unit_span(nu, sq, half_width):
+    """Extremes exactly 0 and 1, and the distance identity exactly 0.5 + sq / (2h)."""
+    assert nu.value_at_zero == 0.0 and nu.value_at_one == 1.0
+    assert _same_bits(distance_payoff(nu, pc.Shock(half_width), sq),
+                      0.5 + sq / (2.0 * half_width))
+
+
+class TestUnitSpan:
+    """Every reduced payoff is normalized, and its extremes come out exact."""
+
+    @pytest.mark.parametrize("total", [1.0, 2.5])
+    @pytest.mark.parametrize("name", ["quadratic", "sqrt-sharing", "placement-linear"])
+    @settings(max_examples=5)
+    @given(fraction=st.floats(0.0, 0.95), sq=SQ_DISTANCES, half_width=HALF_WIDTHS)
+    def test_preset_extremes_are_exact(self, name, total, fraction, sq, half_width):
+        params = {"intercept": 2.0 * total} if name == "placement-linear" else {}
+        nu = pc.payoff_preset(name, total_power=total, majority_premium=fraction * total,
+                              **params)
+        _assert_exact_unit_span(nu, sq, half_width)
+
+    # much smaller exponents make grid values of s ** e tie, and the payoff is refused
+    @settings(max_examples=20)
+    @given(exponent=st.floats(1e-6, 1.0), sq=SQ_DISTANCES, half_width=HALF_WIDTHS)
+    def test_power_extremes_are_exact(self, exponent, sq, half_width):
+        nu = pc.ReducedPayoff(lambda s: np.asarray(s, dtype=float) ** exponent)
+        _assert_exact_unit_span(nu, sq, half_width)
 
 
 class TestHalfValues:
