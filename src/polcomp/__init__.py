@@ -50,6 +50,7 @@ from .equilibrium1d import (
     classify_group,
     compare_spread_payoffs,
     equilibrium_1d,
+    equilibrium_weights,
     is_spread,
     median_bliss,
     payoff_gradient,

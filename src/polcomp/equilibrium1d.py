@@ -24,15 +24,18 @@ import numpy as np
 
 from .errors import DimensionError, InternalConsistencyError, PreconditionError
 from .model import (
+    _SUPPORT_CHECKS,
     PlatformPair,
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _gap_values,
     _raise_failed,
     _read_only,
+    _unresolved_insurance,
     distance_payoff,
+    expected_payoff,
     unit_clamp,
-    vote_share_lottery,
 )
 from .payoffs import proportional_power
 
@@ -158,32 +161,27 @@ def _weights_from_values(nu_heads, nu_tails):
     return nu_heads[..., 1:] - nu_heads[..., :-1], nu_tails[..., :-1] - nu_tails[..., 1:]
 
 
-def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-                   check: bool = True) -> Equilibrium1D:
-    """Closed-form unidimensional equilibrium.
+def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock) -> Equilibrium1D:
+    """Closed-form unidimensional equilibrium, verified.
 
-    With ``check`` the result is verified: weights in (0, 1) summing to
-    one, platforms strictly inside the bliss range and bracketing the
-    risk-neutral benchmark, the payoff identity against the exact
-    integrator, and the shock support at the computed platforms. Pass
-    ``check=False`` to inspect the mechanical output for boundary inputs
-    (e.g. a linear payoff collapses both platforms onto one point).
+    The checks: weights in (0, 1) summing to one, platforms strictly inside
+    the bliss range and bracketing the risk-neutral benchmark, every
+    preference gap at the platforms inside the shock support (else
+    ``PreconditionError``), and the payoff identity against the exact
+    integrator. A boundary input fails them (e.g. a linear payoff collapses
+    both platforms onto one point); its mechanical weights are
+    ``equilibrium_weights`` of the sorted shares.
 
-    The electorate keeps its latest verified solve: a checked call with the
-    same ``nu`` object and an equal ``Shock`` returns the same read-only
-    record without solving or checking again, so the per-type questions
+    The electorate keeps its latest solve: a call with the same ``nu``
+    object and an equal ``Shock`` returns the same read-only record without
+    solving or checking again, so the per-type questions
     (``classify_group``, ``payoff_gradient``) cost one solve for the whole
-    electorate. A failing check stores nothing, and ``check=False`` neither
-    reads nor replaces the stored solve.
+    electorate. A failing check stores nothing.
     """
-    if not check:
-        return _solve(dist, nu, shock, check=False)
-    return dist._derived("equilibrium_1d", lambda: _solve(dist, nu, shock, check=True),
-                         nu, shock)
+    return dist._derived("equilibrium_1d", lambda: _solve(dist, nu, shock), nu, shock)
 
 
-def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
-           check: bool) -> Equilibrium1D:
+def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock) -> Equilibrium1D:
     if dist.dimension != 1:
         raise DimensionError("equilibrium_1d requires a one-dimensional electorate")
     power = nu.power_map if nu.power_map is not None else proportional_power()
@@ -191,22 +189,20 @@ def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
     if dist.n_types == 1:
         x = float(dist.bliss[0, 0])
         one = np.array([1.0])
-        eq = Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
-                           payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
-                           order=np.array([0]), diverse=False)
-    else:
-        order = dist.ascending_order()
-        x = dist.bliss[order, 0]
-        w_low, w_high = equilibrium_weights(dist.shares[order], nu)
-        x_low = float(w_low @ x)
-        x_high = float(w_high @ x)
-        median, _ = median_bliss(dist)
-        x_rn = risk_neutral_benchmark(dist, power)
-        eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
-                           payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
-                           x_risk_neutral=x_rn, median=median, order=order)
-    if check and eq.diverse:
-        _verify_equilibrium(eq, nu, x, vote_share_lottery(dist, shock, eq.pair))
+        return Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
+                             payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
+                             order=np.array([0]), diverse=False)
+    order = dist.ascending_order()
+    x = dist.bliss[order, 0]
+    w_low, w_high = equilibrium_weights(dist.shares[order], nu)
+    x_low = float(w_low @ x)
+    x_high = float(w_high @ x)
+    median, _ = median_bliss(dist)
+    x_rn = risk_neutral_benchmark(dist, power)
+    eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
+                       payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
+                       x_risk_neutral=x_rn, median=median, order=order)
+    _verify_equilibrium(eq, dist, nu, shock, x)
     return eq
 
 
@@ -230,21 +226,21 @@ _PLATFORM_CHECKS = (
 )
 
 
-def _verify_equilibrium(eq: Equilibrium1D, nu, x_sorted, lottery):
+def _verify_equilibrium(eq: Equilibrium1D, dist, nu, shock, x_sorted):
     for w in (eq.weights_low, eq.weights_high):
         _raise_failed(_WEIGHT_CHECKS, w)
     _raise_failed(_PLATFORM_CHECKS, np.array([eq.x_low, eq.x_risk_neutral, eq.x_high]),
                   x_sorted[0], x_sorted[-1])
-    shares, probs = lottery
-    # as expected_payoff(..., "A")
-    _check_payoff_identity(eq.payoff, float(np.dot(nu.evaluate(shares), probs)))
+    # a gap is affine in the bliss point, so the extreme types reach the widest
+    _raise_failed(_SUPPORT_CHECKS, _gap_values(x_sorted[[0, -1], None], eq.x_high, eq.x_low),
+                  shock.half_width)
+    _check_payoff_identity(eq.payoff, expected_payoff(dist, nu, shock, eq.pair, "A"))
 
 
 def _check_payoff_identity(payoff, direct):
     if abs(direct - payoff) > 1e-10:
         raise InternalConsistencyError(
-            f"payoff identity {payoff:.17g} disagrees with exact integrator {direct:.17g}; "
-            "check the shock support at the equilibrium platforms")
+            f"payoff identity {payoff:.17g} disagrees with exact integrator {direct:.17g}")
 
 
 def payoff_gradient(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock,
@@ -376,13 +372,18 @@ def compare_spread_payoffs(base: VoterDistribution, candidate: VoterDistribution
     """Equilibrium payoffs and distances for a (base, spread) pair.
 
     Requires the spread relation to hold; raises if the candidate fails to
-    strictly improve distance and payoff, which the theory rules out.
+    strictly improve distance and payoff, which the theory rules out. A
+    distance that rises under payoffs that tie is a ``PreconditionError``:
+    the shock is too wide for the insurance term to show in a double.
     """
     if not is_spread(base, candidate):
         raise PreconditionError("candidate electorate is not a spread of the base")
     eq_base = equilibrium_1d(base, nu, shock)
     eq_cand = equilibrium_1d(candidate, nu, shock)
-    if not (eq_cand.distance > eq_base.distance and eq_cand.payoff > eq_base.payoff):
+    rose = eq_cand.distance > eq_base.distance
+    if rose and eq_cand.payoff == eq_base.payoff:
+        raise _unresolved_insurance(shock)
+    if not (rose and eq_cand.payoff > eq_base.payoff):
         raise InternalConsistencyError("spread failed to raise platform distance and payoff")
     return SpreadComparison(base_payoff=eq_base.payoff, candidate_payoff=eq_cand.payoff,
                             base_distance=eq_base.distance, candidate_distance=eq_cand.distance)

@@ -40,13 +40,16 @@ import numpy as np
 
 from .errors import DimensionError, InternalConsistencyError, PreconditionError
 from .model import (
+    _SUPPORT_CHECKS,
     PlatformPair,
     ReducedPayoff,
     Shock,
     VoterDistribution,
     _gap_values,
+    _raise_failed,
     _read_only,
     _sorted_gap_lottery,
+    _unresolved_insurance,
     as_pair,
     distance_payoff,
     expected_payoff,
@@ -284,8 +287,10 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
 
     Keeps exactly the rankings that reproduce themselves at their generated
     platform pair, with adjacent gaps at least ``RANK_TOL`` apart. Every
-    kept pair is verified against the exact integrator: both parties'
-    expected payoffs must match the distance identity within 1e-8.
+    kept pair must keep its preference gaps inside the shock support (else
+    ``PreconditionError``) and is verified against the exact integrator:
+    both parties' expected payoffs must match the distance identity within
+    1e-8.
     """
     rows, high, low = _stored_table(dist, nu)
     kept = np.flatnonzero(_self_consistent(rows, high, low, dist))
@@ -294,6 +299,7 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
         pair = PlatformPair(x_a, x_b)
         sq = pair.sq_distance
         payoff = distance_payoff(nu, shock, sq)
+        _raise_failed(_SUPPORT_CHECKS, _gap_values(dist.bliss, x_a, x_b), shock.half_width)
         _check_equilibrium_payoffs(pair, payoff, dist, nu, shock)
         found.append(LocalEquilibrium(pair=pair, ranking=tuple(int(i) for i in perm),
                                       sq_distance=sq, payoff=payoff))
@@ -306,7 +312,7 @@ def _check_equilibrium_payoffs(pair, payoff, dist, nu, shock):
     if abs(v_a - payoff) > 1e-8 or abs(v_b - payoff) > 1e-8:
         raise InternalConsistencyError(
             f"distance identity {payoff:.17g} disagrees with integrator "
-            f"(A={v_a:.17g}, B={v_b:.17g}); check the shock support")
+            f"(A={v_a:.17g}, B={v_b:.17g})")
     if abs(v_a - v_b) > 1e-10:
         raise InternalConsistencyError("parties' payoffs differ at a local equilibrium")
 
@@ -580,7 +586,9 @@ def compare_directional_spread_payoffs(base: VoterDistribution, candidate: Voter
     The spread direction is the separation axis of the base's (first)
     party-preferred equilibrium. Requires both electorates symmetric and
     the candidate to be a spread of the base along that direction; the
-    candidate's payoff must then strictly exceed the base's.
+    candidate's payoff must then strictly exceed the base's. A squared
+    distance that rises under payoffs that tie is a ``PreconditionError``:
+    the shock is too wide for the insurance term to show in a double.
     """
     nash_base = party_preferred_equilibria(base, nu, shock)
     ref = nash_base.party_preferred[0]
@@ -591,6 +599,8 @@ def compare_directional_spread_payoffs(base: VoterDistribution, candidate: Voter
     nash_cand = party_preferred_equilibria(candidate, nu, shock)
     base_pay = ref.payoff
     cand_pay = nash_cand.party_preferred[0].payoff
+    if nash_cand.party_preferred[0].sq_distance > ref.sq_distance and cand_pay == base_pay:
+        raise _unresolved_insurance(shock)
     if not cand_pay > base_pay:
         raise InternalConsistencyError("directional spread failed to raise the preferred payoff")
     return DirectionalSpreadComparison(

@@ -68,6 +68,13 @@ def _first_duplicate_row(pts: np.ndarray):
     return int(order[k]), int(order[k + 1])
 
 
+def _squared_extent(lo, hi) -> float:
+    """Sum over coordinates of (hi - lo)², inf, without a warning, where it overflows."""
+    with np.errstate(over="ignore"):
+        ranges = hi - lo
+        return float(np.add.reduce(ranges * ranges))
+
+
 class VoterDistribution:
     """Finite electorate: bliss points (N, K), shares (N,), optional labels.
 
@@ -94,9 +101,9 @@ class VoterDistribution:
             raise PreconditionError("bliss points of types {} and {} coincide".format(*duplicate))
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("bliss points must be finite")
-        with np.errstate(over="ignore"):    # the largest gap corner platforms make
-            ranges = pts.max(axis=0) - pts.min(axis=0)
-            self._extreme_gap = float(np.add.reduce(ranges * ranges))
+        # the coordinate ranges, whose squares sum to the largest gap corner platforms make
+        self._lo, self._hi = pts.min(axis=0), pts.max(axis=0)
+        self._extreme_gap = _squared_extent(self._lo, self._hi)
         if not self._extreme_gap < np.inf:
             raise PreconditionError("bliss points spread too far: the sum of squared "
                                     "coordinate ranges overflows")
@@ -393,14 +400,10 @@ class ReducedPayoff:
         interior = gain[1:-1] - gain[:-2]            # pairs strictly below 0.5
         self.minority_gain_strict = bool(np.all(interior > 0.0))
         if self.has_jump:
-            # scalar calls, not grid entries: for placement-linear a scalar is a
-            # 1-row Simpson product, which OpenBLAS dgemv sums in another order
-            # than a row inside one of its 4-row groups, so the last bits differ
-            s_last = _GRID[_GRID_HALF - 1]
-            base = float(self.evaluate(s_last) + self.evaluate(1.0 - s_last))
-            lower_ok = self.half_lower * 2.0 > base
-            upper_ok = self.half_upper * 2.0 > base
-            self.minority_gain_at_half = (bool(lower_ok), bool(upper_ok))
+            # the one-sided gains at one half against the last grid pair below it
+            base = float(gain[-2])                  # a float, so the flags stay bools
+            lower_ok, upper_ok = self.half_lower * 2.0 > base, self.half_upper * 2.0 > base
+            self.minority_gain_at_half = (lower_ok, upper_ok)
             self.minority_gain_strict = self.minority_gain_strict and lower_ok and upper_ok
         else:
             edge_ok = bool(gain[-1] - gain[-2] > 0.0)
@@ -433,10 +436,22 @@ def preference_gap(pair, bliss) -> float:
 
 
 def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
-    """Vectorized preference_gap over every type; a NaN gap raises PreconditionError."""
+    """Vectorized preference_gap over every type.
+
+    Raises PreconditionError for a NaN gap, and for platforms so far from
+    the bliss points that the summed squared coordinate ranges over both
+    overflow (the rule ``VoterDistribution`` applies to bliss points), so
+    that no squared distance between them does. An infinite platform
+    coordinate is left out of that sum: it is a limit, with infinite gaps.
+    """
     p = as_pair(pair)
     if dist.dimension != p.dimension:
         raise DimensionError("electorate and platforms disagree on dimension")
+    a, b = (np.where(np.isfinite(x), x, dist._lo) for x in (p.x_a, p.x_b))
+    if not _squared_extent(np.minimum(np.minimum(dist._lo, a), b),
+                           np.maximum(np.maximum(dist._hi, a), b)) < np.inf:
+        raise PreconditionError("platforms lie too far from the bliss points: the sum of "
+                                "squared coordinate ranges over both overflows")
     gaps = _gap_values(dist.bliss, p.x_a, p.x_b)
     _raise_failed(_GAP_CHECKS, gaps)
     return gaps
@@ -482,6 +497,13 @@ def check_shock_support(dist: VoterDistribution, shock: Shock) -> ShockSupportRe
         msg = (f"extreme preference gap {extreme:.17g} exceeds shock half-width "
                f"{shock.half_width:.17g}; vote probabilities may clamp at 0/1")
     return ShockSupportReport(ok=ok, extreme_gap=extreme, bound=shock.half_width, message=msg)
+
+
+# the distance identity is exact only when every preference gap at the
+# platforms, along the last axis, lies in the shock support [-h, h]
+_SUPPORT_CHECKS = ((lambda gaps, half_width: np.max(np.abs(gaps), axis=-1) > half_width,
+                    PreconditionError, "preference gaps at the platforms leave the shock "
+                    "support [-h, h], where the distance identity holds; widen the shock"),)
 
 
 def _sorted_gap_lottery(gaps, shares, half_width):
@@ -560,6 +582,13 @@ def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
 
 def _distance_identity(half_width, sq):
     return 0.5 + sq / (2.0 * half_width)
+
+
+def _unresolved_insurance(shock: Shock) -> PreconditionError:
+    """The error for payoffs that tie although their squared distance rose."""
+    return PreconditionError(
+        f"shock half-width {shock.half_width:.17g} is too wide for float resolution: the "
+        "insurance term sq / (2h) is lost when added to 0.5, so the payoffs tie")
 
 
 # Monte-Carlo shock lookup: buckets per preference gap, and shocks drawn per chunk

@@ -229,14 +229,13 @@ def utility_preset(name: str, *, total_power: float = 1.0, **params) -> PowerUti
     if name == "placement-linear":
         intercept = params.pop("intercept", 2.0)
         slope = params.pop("slope", 2.0)
-        capacity = params.pop("capacity", total_power)
         if params:
             raise PreconditionError(f"unknown placement-linear parameters: {sorted(params)}")
 
         def q(k):
             return intercept - slope * np.asarray(k, dtype=float)
 
-        profile = PlacementProfile(value=q, capacity=capacity, total_power=total_power)
+        profile = PlacementProfile(value=q, capacity=total_power, total_power=total_power)
         return utility_from_placements(profile)
     raise PreconditionError(f"unknown payoff preset {name!r}")
 

@@ -28,6 +28,7 @@ from .model import (
     _GRID,
     _NORMALIZABLE,
     _POWER_GRID_CHECKS,
+    _SUPPORT_CHECKS,
     PowerMap,
     PowerUtility,
     Shock,
@@ -292,6 +293,7 @@ def _sweep_block(dist, utility, total, premiums, shock):
         rows, error = _cut(rows, error, _WEIGHT_CHECKS, w_high)
         rows, error = _cut(rows, error, _PLATFORM_CHECKS, np.stack((x_low, x_rn, x_high), axis=-1),
                            x[0], x[-1])
+        rows, error = _cut(rows, error, _SUPPORT_CHECKS, gaps[:, order[[0, -1]]], h)
     gap_order = np.argsort(gaps[:rows], axis=-1, kind="stable")
     sorted_gaps = np.take_along_axis(gaps[:rows], gap_order, axis=-1)
     sorted_shares = dist.shares[gap_order]

@@ -306,6 +306,28 @@ def fresh_solve(fn, dist, *args):
     return fn(copy, *args)
 
 
+def oracle_jump_flags(nu):
+    """``(has_jump, strictly_concave, minority_gain_strict, minority_gain_at_half)`` of ``nu``.
+
+    The rule ``ReducedPayoff`` applied before reading the gain at the grid
+    pair below one half from its grid values: with a jump, that gain is
+    nu(s) + nu(1 - s) from two scalar calls, at s the grid point below 1/2.
+    """
+    grid = np.linspace(0.0, 1.0, 1001)
+    vals = np.asarray(nu.evaluate(grid), dtype=float)
+    has_jump = nu.half_upper - nu.half_lower > 1e-15
+    second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+    concave = (not has_jump) and bool(np.all(second < 0.0))
+    gain = vals[:501] + vals[500:][::-1]
+    strict = bool(np.all(gain[1:-1] - gain[:-2] > 0.0))
+    if has_jump:
+        base = float(nu.evaluate(grid[499]) + nu.evaluate(1.0 - grid[499]))
+        at_half = (bool(nu.half_lower * 2.0 > base), bool(nu.half_upper * 2.0 > base))
+    else:
+        at_half = (bool(gain[-1] - gain[-2] > 0.0),) * 2
+    return has_jump, concave, strict and all(at_half), at_half
+
+
 def oracle_premium_sweep(dist, utility, total_power, premiums, shock):
     """``premium_sweep`` composed from the model objects, one premium at a time.
 

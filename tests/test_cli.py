@@ -13,6 +13,12 @@ from polcomp.errors import InternalConsistencyError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SPREAD_TOO_FAR = "bliss points spread too far: the sum of squared coordinate ranges overflows"
+OUTSIDE_SUPPORT = ("preference gaps at the platforms leave the shock support [-h, h], where "
+                   "the distance identity holds; widen the shock")
+PLATFORMS_TOO_FAR = ("platforms lie too far from the bliss points: the sum of squared "
+                     "coordinate ranges over both overflows")
+UNRESOLVED = (f"shock half-width {1e300:.17g} is too wide for float resolution: the insurance "
+              "term sq / (2h) is lost when added to 0.5, so the payoffs tie")
 
 
 def base_scenario(**task):
@@ -83,12 +89,13 @@ class TestEq1d:
         assert r2["seed"] == 99
 
     def test_internal_error_exit_code(self, tmp_path):
-        # platforms land outside the shock support: the payoff identity breaks
+        # gaps at the platforms leave the shock support: a model precondition,
+        # caught before the payoff identity breaks (TestInternalErrorHandling has exit 4)
         scenario = base_scenario()
         scenario["distribution"]["types"][0]["bliss"] = [-0.5]
         scenario["distribution"]["types"][1]["bliss"] = [1.5]
         path = write_scenario(tmp_path, scenario)
-        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)]) == 4
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)]) == 3
 
 
 class TestSchemaHandling:
@@ -216,6 +223,14 @@ class TestSchemaHandling:
         key, = params
         assert capsys.readouterr().err == f"error: payoff.params.{key} must be a number\n"
 
+    def test_capacity_is_no_placement_parameter(self, tmp_path, capsys):
+        scenario = base_scenario()
+        scenario["payoff"] = {"preset": "placement-linear", "params": {"capacity": 2.0}}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["eq1d", "--scenario", path, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: unknown placement-linear parameters: ['capacity']\n"
+
     def test_fractional_insiders_exit_three(self, tmp_path, capsys):
         scenario = base_scenario()
         scenario["payoff"] = {"preset": "sqrt-sharing", "params": {"insiders": 2.5}}
@@ -239,6 +254,35 @@ class TestInternalErrorHandling:
 
 
 class TestPreconditionHandling:
+    @pytest.mark.parametrize("subcommand,name,half_width,platforms,message", [
+        # gaps at the platforms leave the shock support; these exited 4 with
+        # "payoff identity ... disagrees with exact integrator"
+        ("eq1d", "two_type_plain.json", 0.3, None, OUTSIDE_SUPPORT),
+        ("premium-sweep", "premium_sweep.json", 0.5, None, OUTSIDE_SUPPORT),
+        ("eqkd", "clustered_2d.json", 0.3, None, OUTSIDE_SUPPORT),
+        # squared distances to the platforms overflow: numpy warned and these
+        # exited 3 on NaN gaps, 4 on a NaN record, and 0
+        ("welfare", "two_type_plain.json", None, [1e200, -1e200], PLATFORMS_TOO_FAR),
+        ("welfare", "two_type_plain.json", None, [1e155, 0.5], PLATFORMS_TOO_FAR),
+        ("welfare", "two_type_plain.json", None, [0.0, 1e155], PLATFORMS_TOO_FAR),
+        ("welfare", "two_type_plain.json", None, [1e154, -1e154], PLATFORMS_TOO_FAR),
+        # the insurance term is lost to rounding; these exited 4 with "failed to raise"
+        ("spread", "spread_1d.json", 1e300, None, UNRESOLVED),
+        ("dspread", "coherence_dspread.json", 1e300, None, UNRESOLVED),
+    ])
+    def test_outside_model_limits_exit_three(self, tmp_path, capsys, subcommand, name,
+                                             half_width, platforms, message):
+        scenario = json.loads((SCENARIOS / name).read_text())
+        if half_width is not None:
+            scenario["shock"]["half_width"] = half_width
+        if platforms is not None:
+            scenario["task"] = {"platforms": platforms}
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main([subcommand, "--scenario", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out.glob("*"))
+
     def test_bad_shares_exit_three(self, tmp_path):
         scenario = base_scenario()
         scenario["distribution"]["types"][0]["share"] = 0.4
@@ -307,6 +351,18 @@ class TestPreconditionHandling:
         record = json.loads((tmp_path / "validate.json").read_text())
         checks = record["result"]["checks"]
         assert checks["minority_gain_strict"] and checks["shock_support_ok"]
+
+    def test_validate_with_majority_premium(self, tmp_path, capsys):
+        # the jump flags must stay Python bools, which the artifact writer accepts;
+        # a premium's jump fails the gain check from below, so validate reports it
+        scenario = json.loads((SCENARIOS / "two_type_reference.json").read_text())
+        scenario["payoff"]["majority_premium"] = 0.3
+        path = write_scenario(tmp_path, scenario)
+        assert main(["validate", "--scenario", path, "--out", str(tmp_path)]) == 3
+        assert "minority-gain asymmetry" in capsys.readouterr().err
+        checks = json.loads((tmp_path / "validate.json").read_text())["result"]["checks"]
+        assert checks["has_jump"] is True and checks["minority_gain_strict"] is False
+        assert checks["minority_gain_at_half"] == [False, True]
 
 
 class TestSubcommands:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import polcomp as pc
 from polcomp import equilibrium1d as eq1d
 from polcomp import model
-from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
+from polcomp.errors import DimensionError, PreconditionError
 
 from helpers import (
     central_difference,
@@ -21,6 +21,10 @@ from helpers import (
     random_diverse_instance,
     shock_for,
 )
+
+
+NU_PRESETS = tuple(pc.payoff_preset(name)
+                   for name in ("quadratic", "sqrt-sharing", "placement-linear"))
 
 
 @st.composite
@@ -49,13 +53,28 @@ class TestClosedForm:
 
     def test_linear_payoff_collapses(self, two_type, nu_linear, unit_shock):
         # risk-neutral boundary: mechanical weights are even and platforms meet
-        eq = pc.equilibrium_1d(two_type, nu_linear, unit_shock, check=False)
-        assert np.allclose(eq.weights_high, [0.5, 0.5], atol=1e-15)
-        assert np.allclose(eq.weights_low, [0.5, 0.5], atol=1e-15)
-        assert eq.x_low == pytest.approx(0.5, abs=1e-15)
-        assert eq.x_high == pytest.approx(0.5, abs=1e-15)
+        w_low, w_high = pc.equilibrium_weights(two_type.shares, nu_linear)
+        assert np.allclose(w_high, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(w_low, [0.5, 0.5], atol=1e-15)
+        assert w_low @ two_type.bliss[:, 0] == pytest.approx(0.5, abs=1e-15)
+        assert w_high @ two_type.bliss[:, 0] == pytest.approx(0.5, abs=1e-15)
         with pytest.raises(PreconditionError):
             pc.equilibrium_1d(two_type, nu_linear, unit_shock)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from(NU_PRESETS))
+    def test_record_is_the_mechanical_output(self, seed, nu):
+        dist = random_diverse_instance(np.random.default_rng(seed), dim=1)
+        shock = shock_for(dist)
+        eq = pc.equilibrium_1d(dist, nu, shock)
+        order = np.argsort(dist.bliss[:, 0], kind="stable")
+        x = dist.bliss[order, 0]
+        w_low, w_high = pc.equilibrium_weights(dist.shares[order], nu)
+        assert eq.weights_low.tobytes() == w_low.tobytes()
+        assert eq.weights_high.tobytes() == w_high.tobytes()
+        x_low, x_high = float(w_low @ x), float(w_high @ x)
+        assert (eq.x_low.hex(), eq.x_high.hex()) == (x_low.hex(), x_high.hex())
+        assert eq.payoff.hex() == model.distance_payoff(nu, shock, (x_high - x_low) ** 2).hex()
 
     def test_three_type_symmetric_closed_form(self, three_type_symmetric, nu_quadratic):
         shock = pc.Shock(5.0)
@@ -84,13 +103,15 @@ class TestClosedForm:
             pc.equilibrium_1d(two_type_2d, nu_quadratic, unit_shock)
 
     def test_support_violation_caught(self, nu_quadratic):
-        # platforms land where gaps escape a too-narrow shock: identity breaks
+        # platforms land at 0 and 1, where gaps (±2) escape a too-narrow shock
         d = pc.VoterDistribution([-0.5, 1.5], [0.5, 0.5])
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(PreconditionError, match="shock support"):
             pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
-        eq = pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0), check=False)
-        assert eq.distance == pytest.approx(1.0, abs=1e-12)
-        assert eq.payoff == pytest.approx(1.0, abs=1e-12)
+        w_low, w_high = pc.equilibrium_weights(d.shares, nu_quadratic)
+        distance = float((w_high - w_low) @ d.bliss[:, 0])
+        assert distance == pytest.approx(1.0, abs=1e-12)
+        assert model.distance_payoff(nu_quadratic, pc.Shock(1.0), distance ** 2) == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 class TestBenchmarkAndMedian:
@@ -392,31 +413,15 @@ class TestStoredSolve:
         assert pc.equilibrium_1d(two_type, nu_quadratic, pc.Shock(1.5)) is eq
         assert len(verify_calls) == 1
 
-    def test_unchecked_call_bypasses(self, verify_calls, two_type, nu_quadratic, nu_linear,
-                                     unit_shock):
-        eq = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock)
-        raw = pc.equilibrium_1d(two_type, nu_quadratic, unit_shock, check=False)
-        assert raw is not eq and raw.x_high == eq.x_high
-        # the linear boundary keeps its mechanical output right after a checked solve
-        flat = pc.equilibrium_1d(two_type, nu_linear, unit_shock, check=False)
-        assert np.allclose(flat.weights_high, [0.5, 0.5], atol=1e-15)
-        assert flat.x_low == pytest.approx(0.5, abs=1e-15)
-        assert flat.x_high == pytest.approx(0.5, abs=1e-15)
-        assert len(verify_calls) == 1
-        # ... and did not replace the stored solve
-        assert pc.equilibrium_1d(two_type, nu_quadratic, unit_shock) is eq
-        with pytest.raises(PreconditionError):
-            pc.equilibrium_1d(two_type, nu_linear, unit_shock)
-
     def test_failing_check_stores_nothing(self, verify_calls, nu_quadratic):
         d = pc.VoterDistribution([-0.5, 1.5], [0.5, 0.5])
         for _ in range(2):
-            with pytest.raises(InternalConsistencyError):
+            with pytest.raises(PreconditionError, match="shock support"):
                 pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
         assert len(verify_calls) == 2
         assert "equilibrium_1d" not in d._store
         eq = pc.equilibrium_1d(d, nu_quadratic, pc.Shock(4.0))
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(PreconditionError, match="shock support"):
             pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
         # a failure leaves the last verified solve in place
         assert pc.equilibrium_1d(d, nu_quadratic, pc.Shock(4.0)) is eq

@@ -13,8 +13,8 @@ import polcomp as pc
 from polcomp.errors import PreconditionError
 from polcomp.payoffs import _PLACEMENT_BLOCK, _premium_power
 
-from helpers import (PLACEMENT_SCHEDULES, oracle_placement_utility, placement_bit_digests,
-                     placement_points)
+from helpers import (PLACEMENT_SCHEDULES, oracle_jump_flags, oracle_placement_utility,
+                     placement_bit_digests, placement_points)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,6 +235,22 @@ class TestMinorityGainWithJump:
         assert isinstance(lower_ok, bool) and isinstance(upper_ok, bool)
         # the upward jump makes the upper one-sided increment strict
         assert upper_ok
+
+    @pytest.mark.parametrize("total", [1.0, 2.5])
+    @pytest.mark.parametrize("preset", ["quadratic", "sqrt-sharing", "placement-linear"])
+    def test_flags_match_scalar_rule(self, preset, total):
+        # the gain below one half comes from the grid values, not two scalar calls
+        params = {"intercept": 2.0 * total} if preset == "placement-linear" else {}
+        u = pc.utility_preset(preset, total_power=total, **params)
+        rng = np.random.default_rng(int(10 * total))
+        premiums = np.concatenate(([0.0, 0.999 * total], rng.uniform(0.0, 0.999 * total, 14)))
+        for premium in premiums:
+            nu = pc.compose_reduced_payoff(u, pc.majority_premium_power(total, premium))
+            flags = (nu.has_jump, nu.strictly_concave, nu.minority_gain_strict,
+                     *nu.minority_gain_at_half)
+            expected = oracle_jump_flags(nu)
+            assert flags == (*expected[:3], *expected[3])
+            assert all(type(flag) is bool for flag in flags)
 
 
 class TestPlacementShapes:

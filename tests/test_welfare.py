@@ -290,9 +290,9 @@ class TestPremiumSweep:
         # full premium, a known defect that makes a natural failing row
         ([0.5, 0.999999, 0.3], 5.0, PreconditionError,
          "reduced payoff decreases on the validation grid"),
-        # row 0 fails a per-row check after row 1 failed a block-wide one:
+        # row 0 fails a later check (the shock support) than row 1 (the grid):
         # row 0's error wins, as in a loop over the rows
-        ([0.3, 0.999999], 0.5, InternalConsistencyError, "payoff identity "),
+        ([0.3, 0.999999], 0.5, PreconditionError, "preference gaps at the platforms leave"),
         ([0.999999, 0.3], 0.5, PreconditionError, "reduced payoff decreases"),
     ])
     def test_first_failing_row_raises(self, three_type_symmetric, premiums, shock, error,
