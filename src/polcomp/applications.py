@@ -45,7 +45,7 @@ def conflict_issue_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Sho
     if not 0.0 < salience <= 1.0:
         raise PreconditionError("salience must lie in (0, 1]")
     eq = equilibrium_1d(dist, nu, shock)
-    return distance_payoff(nu, shock, salience * eq.distance ** 2)
+    return distance_payoff(shock, salience * eq.distance ** 2)
 
 
 @dataclass(frozen=True)

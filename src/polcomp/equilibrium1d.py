@@ -29,8 +29,8 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _cut,
     _gap_values,
-    _raise_failed,
     _read_only,
     _unresolved_insurance,
     distance_payoff,
@@ -164,13 +164,18 @@ def _weights_from_values(nu_heads, nu_tails):
 def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock) -> Equilibrium1D:
     """Closed-form unidimensional equilibrium, verified.
 
-    The checks: weights in (0, 1) summing to one, platforms strictly inside
-    the bliss range and bracketing the risk-neutral benchmark, every
-    preference gap at the platforms inside the shock support (else
-    ``PreconditionError``), and the payoff identity against the exact
-    integrator. A boundary input fails them (e.g. a linear payoff collapses
-    both platforms onto one point); its mechanical weights are
-    ``equilibrium_weights`` of the sorted shares.
+    The checks: weights finite, in (0, 1) and summing to one, platforms
+    strictly inside the bliss range and bracketing the risk-neutral
+    benchmark, every preference gap at the platforms inside the shock
+    support, and the payoff identity against the exact integrator. A
+    boundary input fails them (e.g. a linear payoff collapses both platforms
+    onto one point); its mechanical weights are ``equilibrium_weights`` of
+    the sorted shares. ``PreconditionError`` names the model limits among
+    them: a payoff not finite at a cumulative share, weights outside (0, 1),
+    platforms that meet, gaps outside the shock support, and bliss points
+    so close together that a platform lands on an end of their range
+    within the rounding of its weighted sum. A larger escape, like every
+    other failure, is an ``InternalConsistencyError``.
 
     The electorate keeps its latest solve: a call with the same ``nu``
     object and an equal ``Shock`` returns the same read-only record without
@@ -184,57 +189,74 @@ def equilibrium_1d(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock) -> 
 def _solve(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock) -> Equilibrium1D:
     if dist.dimension != 1:
         raise DimensionError("equilibrium_1d requires a one-dimensional electorate")
-    power = nu.power_map if nu.power_map is not None else proportional_power()
-
-    if dist.n_types == 1:
-        x = float(dist.bliss[0, 0])
-        one = np.array([1.0])
-        return Equilibrium1D(x_low=x, x_high=x, weights_low=one, weights_high=one,
-                             payoff=distance_payoff(nu, shock, 0.0), x_risk_neutral=x, median=x,
-                             order=np.array([0]), diverse=False)
     order = dist.ascending_order()
-    x = dist.bliss[order, 0]
-    w_low, w_high = equilibrium_weights(dist.shares[order], nu)
-    x_low = float(w_low @ x)
-    x_high = float(w_high @ x)
-    median, _ = median_bliss(dist)
-    x_rn = risk_neutral_benchmark(dist, power)
-    eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w_low, weights_high=w_high,
-                       payoff=distance_payoff(nu, shock, (x_high - x_low) ** 2),
-                       x_risk_neutral=x_rn, median=median, order=order)
-    _verify_equilibrium(eq, dist, nu, shock, x)
+    heads, tails = _head_tail_shares(dist.shares[order])
+    power = nu.power_map if nu.power_map is not None else proportional_power()
+    _, error, w, plat = _closed_form(
+        1, None, dist.bliss[order, 0], np.asarray(nu.evaluate(heads), dtype=float)[None],
+        np.asarray(nu.evaluate(tails), dtype=float)[None],
+        np.asarray(power.evaluate(heads), dtype=float)[None], power.total, shock.half_width)
+    if error is not None:
+        raise error
+    x_low, x_rn, x_high = plat[0].tolist()
+    eq = Equilibrium1D(x_low=x_low, x_high=x_high, weights_low=w[0, 0], weights_high=w[0, 1],
+                       payoff=distance_payoff(shock, (x_high - x_low) ** 2), x_risk_neutral=x_rn,
+                       median=median_bliss(dist)[0], order=order, diverse=dist.n_types > 1)
+    _check_payoff_identity(eq.payoff, expected_payoff(dist, nu, shock, eq.pair, "A"))
     return eq
 
 
-# _verify_equilibrium's checks of each side's weights, then of the platforms
-# (low, risk-neutral, high) along the last axis against the bliss range (lo, hi)
+def _closed_form(rows, error, x, nu_heads, nu_tails, rho_heads, total, half_width):
+    """``(rows, error, weights, platforms)`` of the closed form on each row, checked.
+
+    A row of ``nu_heads`` and ``nu_tails`` is a payoff at the head and tail
+    shares of the ascending bliss points ``x``, one of ``rho_heads`` its power
+    map, of total ``total``, at the head shares. ``weights`` is (R, 2, n), low
+    side first; ``platforms`` holds the low, risk-neutral and high 1-D dot
+    products ``w @ x`` of the rows past the weight checks. Those checks, then
+    the platforms' and the extreme types' gaps against the shock support, cut
+    ``rows`` and ``error`` (``_cut``). One type holds every platform, unchecked.
+    """
+    if len(x) == 1:
+        return rows, error, np.ones((len(nu_heads), 2, 1)), np.full((len(nu_heads), 3), x[0])
+    w = np.stack(_weights_from_values(nu_heads, nu_tails), axis=1)
+    rows, error = _cut(rows, error, _WEIGHT_CHECKS, w)
+    sides = (w[:rows, 0], _risk_neutral_weights(rho_heads[:rows], total), w[:rows, 1])
+    plat = np.array([[v @ x for v in side] for side in sides]).reshape(3, rows).T
+    rounding = len(x) * (_EPS * max(abs(x[0]), abs(x[-1])) + _TINY)
+    rows, error = _cut(rows, error, _PLATFORM_CHECKS, plat, x[0], x[-1], rounding)
+    # a gap is affine in the bliss point, so the extreme types reach the widest
+    gaps = _gap_values(x[[0, -1], None], plat[:rows, 2, None, None], plat[:rows, 0, None, None])
+    rows, error = _cut(rows, error, _SUPPORT_CHECKS, gaps, half_width)
+    return rows, error, w, plat
+
+
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+# _closed_form's checks of the weights (R, 2, n), both sides of a row at once,
+# then of the platforms (low, risk-neutral, high) along the last axis against
+# the bliss range (lo, hi), given the rounding bound of their weighted sums
 _WEIGHT_CHECKS = (
-    (lambda w: (w <= 0.0).any(axis=-1) | (w >= 1.0).any(axis=-1), PreconditionError,
+    (lambda w: ~np.isfinite(w).all(axis=(-2, -1)), PreconditionError,
+     "equilibrium weights are not finite: the reduced payoff is not finite at a "
+     "cumulative share of the sorted types"),
+    (lambda w: ((w <= 0.0) | (w >= 1.0)).any(axis=(-2, -1)), PreconditionError,
      "equilibrium weights left (0, 1); payoff increments are not strict "
      "(is the payoff strictly more responsive for the trailing party?)"),
-    (lambda w: abs(w.sum(axis=-1) - 1.0) > 1e-10, InternalConsistencyError,
+    (lambda w: (abs(w.sum(axis=-1) - 1.0) > 1e-10).any(axis=-1), InternalConsistencyError,
      "equilibrium weights do not sum to one"),
 )
 _PLATFORM_CHECKS = (
-    (lambda x, lo, hi: ~((lo < x[..., 0]) & (x[..., 2] < hi)), InternalConsistencyError,
-     "platforms escaped the interior of the bliss range"),
-    (lambda x, lo, hi: ~(x[..., 0] < x[..., 2]), PreconditionError,
+    (lambda x, lo, hi, rounding: ~(np.maximum(lo - x[..., 0], x[..., 2] - hi) <= rounding),
+     InternalConsistencyError, "platforms escaped the interior of the bliss range"),
+    (lambda x, lo, hi, rounding: ~((lo < x[..., 0]) & (x[..., 2] < hi)), PreconditionError,
+     "platforms reach the ends of the bliss range within float resolution: the bliss "
+     "points lie too close together for their weighted averages to fall between them"),
+    (lambda x, lo, hi, rounding: ~(x[..., 0] < x[..., 2]), PreconditionError,
      "platforms failed to separate; payoff lacks the strict gain asymmetry"),
-    (lambda x, lo, hi: ~((x[..., 0] < x[..., 1] + _STRICT_TOL)
-                         & (x[..., 1] < x[..., 2] + _STRICT_TOL)),
+    (lambda x, lo, hi, rounding: ~((x[..., 0] < x[..., 1] + _STRICT_TOL)
+                                   & (x[..., 1] < x[..., 2] + _STRICT_TOL)),
      InternalConsistencyError, "platforms do not bracket the risk-neutral benchmark"),
 )
-
-
-def _verify_equilibrium(eq: Equilibrium1D, dist, nu, shock, x_sorted):
-    for w in (eq.weights_low, eq.weights_high):
-        _raise_failed(_WEIGHT_CHECKS, w)
-    _raise_failed(_PLATFORM_CHECKS, np.array([eq.x_low, eq.x_risk_neutral, eq.x_high]),
-                  x_sorted[0], x_sorted[-1])
-    # a gap is affine in the bliss point, so the extreme types reach the widest
-    _raise_failed(_SUPPORT_CHECKS, _gap_values(x_sorted[[0, -1], None], eq.x_high, eq.x_low),
-                  shock.half_width)
-    _check_payoff_identity(eq.payoff, expected_payoff(dist, nu, shock, eq.pair, "A"))
 
 
 def _check_payoff_identity(payoff, direct):

@@ -45,9 +45,10 @@ from .model import (
     ReducedPayoff,
     Shock,
     VoterDistribution,
+    _cut,
     _gap_values,
-    _raise_failed,
     _read_only,
+    _require_near,
     _sorted_gap_lottery,
     _unresolved_insurance,
     as_pair,
@@ -67,13 +68,13 @@ SYMMETRY_TOL = 1e-9         # mirror images match within this, coordinates and s
 _PAYOFF_TIE_TOL = 1e-12
 
 
-def _rises(gaps) -> np.ndarray:
-    """Whether every step along the last axis of ``gaps`` is at least ``RANK_TOL``.
+def _rises(gaps, tol=RANK_TOL) -> np.ndarray:
+    """Whether every step along the last axis of ``gaps`` is at least ``tol``.
 
     A step between equal infinite gaps is NaN, so it is no rise.
     """
     with np.errstate(invalid="ignore"):
-        return np.all(np.diff(gaps, axis=-1) >= RANK_TOL, axis=-1)
+        return np.all(np.diff(gaps, axis=-1) >= tol, axis=-1)
 
 
 def induced_ranking(pair, dist: VoterDistribution):
@@ -244,14 +245,21 @@ def _ranking_table(perms: np.ndarray, dist: VoterDistribution, nu: ReducedPayoff
     return _weighted_sides(*_weights_from_values(nu_heads, nu_tails), dist.bliss[perms])
 
 
-def _self_consistent(perms, high, low, dist: VoterDistribution) -> np.ndarray:
-    """Mask of rows whose pair (high for A, low for B) induces exactly that row.
+def _self_consistent(perms, gaps, tol=RANK_TOL) -> np.ndarray:
+    """Mask of rows of ``perms`` whose pair induces exactly that row.
 
-    The rule of ``induced_ranking``, made for every row at once: a row's
-    gaps, taken in its order, must rise by at least ``RANK_TOL`` at each step.
+    ``gaps`` (M, n) holds each row's preference gaps at its pair, in type
+    order (see ``_gapped_table``). The rule of ``induced_ranking``, made for
+    every row at once: a row's gaps, taken in its order, must rise by at
+    least ``tol`` at each step.
     """
-    gaps = _gap_values(dist.bliss, high[:, None, :], low[:, None, :])
-    return _rises(np.take_along_axis(gaps, perms, axis=1))
+    return _rises(np.take_along_axis(gaps, perms, axis=1), tol)
+
+
+def _gapped_table(dist, nu):
+    """``_stored_table`` and the (M, n) gaps of each row's pair (high for A, low for B)."""
+    rows, high, low = _stored_table(dist, nu)
+    return rows, high, low, _gap_values(dist.bliss, high[:, None, :], low[:, None, :])
 
 
 def _stored_table(dist, nu):
@@ -288,18 +296,20 @@ def enumerate_local_equilibria(dist: VoterDistribution, nu: ReducedPayoff, shock
     Keeps exactly the rankings that reproduce themselves at their generated
     platform pair, with adjacent gaps at least ``RANK_TOL`` apart. Every
     kept pair must keep its preference gaps inside the shock support (else
-    ``PreconditionError``) and is verified against the exact integrator:
-    both parties' expected payoffs must match the distance identity within
-    1e-8.
+    ``PreconditionError``, checked on the gaps the ranking test read) and is
+    verified against the exact integrator: both parties' expected payoffs
+    must match the distance identity within 1e-8.
     """
-    rows, high, low = _stored_table(dist, nu)
-    kept = np.flatnonzero(_self_consistent(rows, high, low, dist))
+    rows, high, low, gaps = _gapped_table(dist, nu)
+    kept = np.flatnonzero(_self_consistent(rows, gaps))
+    _, error = _cut(len(kept), None, _SUPPORT_CHECKS, gaps[kept], shock.half_width)
+    if error is not None:
+        raise error
     found = []
     for perm, x_a, x_b in zip(rows[kept], high[kept], low[kept]):
         pair = PlatformPair(x_a, x_b)
         sq = pair.sq_distance
-        payoff = distance_payoff(nu, shock, sq)
-        _raise_failed(_SUPPORT_CHECKS, _gap_values(dist.bliss, x_a, x_b), shock.half_width)
+        payoff = distance_payoff(shock, sq)
         _check_equilibrium_payoffs(pair, payoff, dist, nu, shock)
         found.append(LocalEquilibrium(pair=pair, ranking=tuple(int(i) for i in perm),
                                       sq_distance=sq, payoff=payoff))
@@ -350,6 +360,7 @@ def _require_in_support(opponent: np.ndarray, dist, shock):
     point. Its gap is then at most its squared distance to the opponent and
     at least that minus the largest squared distance.
     """
+    _require_near(dist._lo, dist._hi, opponent)
     to_opp = np.sum((dist.bliss - opponent) ** 2, axis=1)
     diff = dist.bliss[:, None, :] - dist.bliss[None, :, :]
     farthest = np.max(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
@@ -455,15 +466,22 @@ def party_preferred_equilibria(dist: VoterDistribution, nu: ReducedPayoff,
 
     Requires a symmetric electorate (existence is only guaranteed there).
     All local equilibria within ``PREFERRED_TOL`` of the maximal squared
-    distance are returned; ties at machine precision are not broken.
+    distance are returned; ties at machine precision are not broken. When
+    no ranking's gaps rise by ``RANK_TOL`` at every step but some rise
+    weakly (no step negative), types tie within that tolerance at their
+    own platforms: a ``PreconditionError``.
     """
     if not is_symmetric(dist):
         raise PreconditionError("party-preferred selection requires a symmetric electorate")
     inventory = enumerate_local_equilibria(dist, nu, shock)
     if not inventory:
-        raise InternalConsistencyError(
-            "no local equilibrium found for a symmetric electorate; "
-            "check ranking tolerance against near-tied types")
+        rows, _, _, gaps = _gapped_table(dist, nu)
+        if _self_consistent(rows, gaps, 0.0).any():
+            raise PreconditionError(
+                f"no local equilibrium resolved: types tie within RANK_TOL = {RANK_TOL:g} in "
+                "preference gap at every ranking their own platforms weakly reproduce; the "
+                "bliss points lie too close together for the ranking tolerance")
+        raise InternalConsistencyError("no local equilibrium found for a symmetric electorate")
     max_sq = max(eq.sq_distance for eq in inventory)
     best = tuple(eq for eq in inventory if eq.sq_distance >= max_sq - PREFERRED_TOL)
     return NashReport(party_preferred=best, max_sq_distance=max_sq, inventory=tuple(inventory))

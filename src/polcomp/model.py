@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 
 SHARE_SUM_TOL = 1e-12
-TIE_TOL = 1e-9
+TIE_TOL = 1e-12             # sorted preference gaps within TIE_TOL · h merge
 
 
 def _as_matrix(bliss) -> np.ndarray:
@@ -43,12 +43,29 @@ def _raise_failed(checks, *args):
     """Raise the error of the first of ``checks`` that ``args`` fail.
 
     A check is ``(failed, error, message)``. Each ``failed`` works along the
-    last axis, so ``welfare.premium_sweep`` runs the same checks on a block
-    of rows at once.
+    last axis, so ``_cut`` runs the same checks on a block of rows at once.
     """
     for failed, error, message in checks:
         if failed(*args):
             raise error(message)
+
+
+def _cut(rows, error, checks, *args):
+    """``(rows, error)`` once ``checks`` have run on the ``rows`` rows of the arrays in ``args``.
+
+    The first row a check fails becomes the block's new end, and that
+    check's error the pending one, so no later check sees a failed row.
+    Other arguments are passed whole; a check on them alone fails every row
+    or none.
+    """
+    for failed, err, message in checks:
+        if not rows:
+            break
+        hit = np.asarray(failed(*args))
+        if np.count_nonzero(hit):       # cheaper than hit.any() on a few rows
+            rows, error = int(hit.argmax()), err(message)
+            args = [a[:rows] if isinstance(a, np.ndarray) else a for a in args]
+    return rows, error
 
 
 def _first_duplicate_row(pts: np.ndarray):
@@ -171,6 +188,7 @@ class Shock:
         if not 2.0 * float(self.half_width) < np.inf:     # a float64 would warn
             raise PreconditionError(
                 f"shock half-width {self.half_width:.17g} overflows when doubled")
+        object.__setattr__(self, "half_width", float(self.half_width))    # Shock(1) too
 
     @property
     def density_at_zero(self) -> float:
@@ -426,32 +444,44 @@ def preference_gap(pair, bliss) -> float:
     """Utility advantage of platform A over platform B for a voter at ``bliss``.
 
     Quadratic loss: ||x_b - bliss||^2 - ||x_a - bliss||^2. Positive values
-    mean the voter leans toward party A.
+    mean the voter leans toward party A. Platforms too far from the bliss
+    point raise ``PreconditionError`` (see ``_require_near``).
     """
     p = as_pair(pair)
     b = np.atleast_1d(np.asarray(bliss, dtype=float))
     if b.shape != p.x_a.shape:
         raise DimensionError(f"bliss point has dimension {b.shape[0]}, platforms {p.dimension}")
+    _require_near(b, b, p.x_a, p.x_b)
     return float(_gap_values(b, p.x_a, p.x_b))
+
+
+def _require_near(lo, hi, *platforms):
+    """Raise unless the box [lo, hi] stretched over ``platforms`` has a finite squared extent.
+
+    That is the rule ``VoterDistribution`` applies to bliss points, so no
+    squared distance between a point of the box and a platform overflows.
+    An infinite platform coordinate is left out: it is a limit, with
+    infinite gaps.
+    """
+    for x in platforms:
+        x = np.where(np.isfinite(x), x, lo)
+        lo, hi = np.minimum(lo, x), np.maximum(hi, x)
+    if not _squared_extent(lo, hi) < np.inf:
+        raise PreconditionError("platforms lie too far from the bliss points: the sum of "
+                                "squared coordinate ranges over both overflows")
 
 
 def preference_gaps(pair, dist: VoterDistribution) -> np.ndarray:
     """Vectorized preference_gap over every type.
 
     Raises PreconditionError for a NaN gap, and for platforms so far from
-    the bliss points that the summed squared coordinate ranges over both
-    overflow (the rule ``VoterDistribution`` applies to bliss points), so
-    that no squared distance between them does. An infinite platform
-    coordinate is left out of that sum: it is a limit, with infinite gaps.
+    the bliss points that a squared distance between them could overflow
+    (see ``_require_near``).
     """
     p = as_pair(pair)
     if dist.dimension != p.dimension:
         raise DimensionError("electorate and platforms disagree on dimension")
-    a, b = (np.where(np.isfinite(x), x, dist._lo) for x in (p.x_a, p.x_b))
-    if not _squared_extent(np.minimum(np.minimum(dist._lo, a), b),
-                           np.maximum(np.maximum(dist._hi, a), b)) < np.inf:
-        raise PreconditionError("platforms lie too far from the bliss points: the sum of "
-                                "squared coordinate ranges over both overflows")
+    _require_near(dist._lo, dist._hi, p.x_a, p.x_b)
     gaps = _gap_values(dist.bliss, p.x_a, p.x_b)
     _raise_failed(_GAP_CHECKS, gaps)
     return gaps
@@ -531,12 +561,14 @@ def _sorted_gap_lottery(gaps, shares, half_width):
 def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
     """Exact distribution of party A's vote share under the uniform shock.
 
-    Types are sorted by preference gap, gaps closer than ``TIE_TOL`` are
-    merged into blocks, and the share is piecewise constant between block
-    gaps clamped to the shock support. Returns read-only ``(shares,
-    probabilities)`` with probabilities summing to one. The electorate keeps
-    its latest lottery, so a second call at equal platforms and shock (party
-    B's payoff, or a checked solve's policy lottery) builds nothing.
+    Types are sorted by preference gap, gaps closer than ``TIE_TOL`` times
+    the shock half-width h are merged into blocks, and the share is
+    piecewise constant between block gaps clamped to the shock support.
+    Each merged step so moves less than ``TIE_TOL`` / 2 of probability,
+    whatever h. Returns read-only ``(shares, probabilities)`` with
+    probabilities summing to one. The electorate keeps its latest lottery,
+    so a second call at equal platforms and shock (party B's payoff, or a
+    checked solve's policy lottery) builds nothing.
     """
     p = as_pair(pair)
 
@@ -550,13 +582,13 @@ def vote_share_lottery(dist: VoterDistribution, shock: Shock, pair):
 
 
 def _merged_gap_lottery(g, shares, half_width):
-    """``_sorted_gap_lottery`` of ascending gaps ``g`` once gaps within ``TIE_TOL`` merge.
+    """``_sorted_gap_lottery`` of ascending gaps ``g`` once gaps within ``TIE_TOL`` · h merge.
 
     A block of near-tied gaps sits at its first gap and carries its types'
     summed ``shares``, which are in the order of ``g``.
     """
     with np.errstate(invalid="ignore"):   # merge near-ties, equal infinite gaps too
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL) + 1))
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(g) >= TIE_TOL * half_width) + 1))
     return _sorted_gap_lottery(g[starts], np.add.reduceat(shares, starts), half_width)
 
 
@@ -571,17 +603,13 @@ def expected_payoff(dist: VoterDistribution, nu: ReducedPayoff, shock: Shock, pa
     return float(np.dot(nu.evaluate(shares), probs))
 
 
-def distance_payoff(nu: ReducedPayoff, shock: Shock, sq: float) -> float:
+def distance_payoff(shock: Shock, sq: float) -> float:
     """Distance identity: equilibrium payoff at squared platform distance ``sq``.
 
     The mean of the payoff's extremes, 0.5 on the unit-span scale, plus the
     insurance term sq / (2 h).
     """
-    return _distance_identity(shock.half_width, sq)
-
-
-def _distance_identity(half_width, sq):
-    return 0.5 + sq / (2.0 * half_width)
+    return 0.5 + sq / (2.0 * shock.half_width)
 
 
 def _unresolved_insurance(shock: Shock) -> PreconditionError:

@@ -9,7 +9,8 @@ premium pulls platforms toward the median type, killing variance, while
 bias converges to the median-to-optimum gap.
 
 A sweep evaluates its premiums in blocks, each stage once over a block,
-with the same kernels and checks as the model objects it stands for. Its
+with the same kernels and checks as the model objects it stands for; its
+solve is the 1-D solve's own closed form and checks, run on the block. Its
 rows are the same floats as building those objects one premium at a time,
 and a failing sweep raises the error of its first failing row after the
 rows before it have run.
@@ -28,27 +29,19 @@ from .model import (
     _GRID,
     _NORMALIZABLE,
     _POWER_GRID_CHECKS,
-    _SUPPORT_CHECKS,
     PowerMap,
     PowerUtility,
     Shock,
     VoterDistribution,
-    _distance_identity,
+    _cut,
     _gap_values,
     _merged_gap_lottery,
     as_pair,
+    distance_payoff,
     unit_clamp,
     vote_share_lottery,
 )
-from .equilibrium1d import (
-    _PLATFORM_CHECKS,
-    _WEIGHT_CHECKS,
-    _check_payoff_identity,
-    _head_tail_shares,
-    _risk_neutral_weights,
-    _weights_from_values,
-    median_bliss,
-)
+from .equilibrium1d import _check_payoff_identity, _closed_form, _head_tail_shares, median_bliss
 from .payoffs import _SAME_TOTAL, _premium_power
 
 
@@ -77,11 +70,12 @@ def policy_lottery(pair, dist: VoterDistribution, power: PowerMap, shock: Shock)
 
     On each shock interval the vote share, hence the power split, hence the
     enacted policy is constant: policy = (power share of A) * platform A +
-    (power share of B) * platform B. Outcomes are sorted and merged into
-    blocks: an outcome within ``MERGE_TOL`` of the one before it joins that
-    outcome's block (the adjacent-gap rule ``vote_share_lottery`` applies to
-    preference gaps). A block sits at its smallest outcome and carries the
-    left-to-right sum of its probabilities.
+    (power share of B) * platform B. The vote-share lottery under it merges
+    preference gaps within ``TIE_TOL`` times the shock half-width (see
+    ``vote_share_lottery``); outcomes follow the same adjacent rule at an
+    absolute tolerance: sorted, an outcome within ``MERGE_TOL`` of the one
+    before it joins that outcome's block. A block sits at its smallest
+    outcome and carries the left-to-right sum of its probabilities.
     """
     p = as_pair(pair)
     if p.dimension != 1 or dist.dimension != 1:
@@ -209,11 +203,11 @@ def premium_sweep(dist: VoterDistribution, utility: PowerUtility, total_power: f
     ``_CHECK_BLOCK_BYTES``, so memory stays flat in their number. Within a
     block, each stage runs once over the rows: the power map and the payoff
     on the validation grid with their checks, the payoff at the cumulative
-    shares, the weights, the risk-neutral benchmark, the preference gaps and
-    their sort, and the equilibrium checks. Only the steps whose sizes differ
-    from row to row run per row: merging near-tied gaps into the vote-share
-    lottery, the payoff identity against it, the compromise lottery and
-    ``welfare_decomposition``.
+    shares, the closed form and its checks (the function ``equilibrium_1d``
+    runs on one row), and the preference gaps and their sort. Only the
+    steps whose sizes differ from row to row run per row: merging near-tied
+    gaps into the vote-share lottery, the payoff identity against it, the
+    compromise lottery and ``welfare_decomposition``.
 
     Rows are the same floats as building those objects one premium at a
     time: every ``utility.evaluate`` call gets the 1-D array a lone premium
@@ -268,32 +262,18 @@ def _sweep_block(dist, utility, total, premiums, shock):
     vals /= scale
     rows, error = _cut(rows, error, _COMPOSED_PAYOFF_CHECKS, vals)
     del vals
+    prem, offset, scale = prem[:rows], offset[:rows], scale[:rows]
 
-    # the closed-form solve, its checks and the sorted preference gaps
+    # the closed-form solve and its checks, then the sorted preference gaps
     order = dist.ascending_order()
-    x = dist.bliss[order, 0]
-    diverse = dist.n_types > 1          # one type: both platforms on it, unchecked
-    if diverse:
-        heads, tails = _head_tail_shares(dist.shares[order])
-        head_power = _premium_power(total, prem[:rows], heads)
-        nu_heads = (_utility_rows(utility, head_power) - offset[:rows]) / scale[:rows]
-        tail_power = _premium_power(total, prem[:rows], tails)
-        nu_tails = (_utility_rows(utility, tail_power) - offset[:rows]) / scale[:rows]
-        w_low, w_high = _weights_from_values(nu_heads, nu_tails)
-        x_low = [float(w @ x) for w in w_low]
-        x_high = [float(w @ x) for w in w_high]
-        x_rn = [float(w @ x) for w in _risk_neutral_weights(head_power, total)]
-    else:
-        x_low = x_high = [float(x[0])] * rows
-    low, high = np.array(x_low).reshape(-1, 1, 1), np.array(x_high).reshape(-1, 1, 1)
-    gaps = _gap_values(dist.bliss, high, low)
+    heads, tails = _head_tail_shares(dist.shares[order])
+    head_power = _premium_power(total, prem, heads)
+    nu_heads = (_utility_rows(utility, head_power) - offset) / scale
+    nu_tails = (_utility_rows(utility, _premium_power(total, prem, tails)) - offset) / scale
+    rows, error, _, plat = _closed_form(rows, error, dist.bliss[order, 0], nu_heads, nu_tails,
+                                        head_power, total, h)
+    gaps = _gap_values(dist.bliss, plat[:rows, 2, None, None], plat[:rows, 0, None, None])
     rows, error = _cut(rows, error, _GAP_CHECKS, gaps)
-    if diverse:
-        rows, error = _cut(rows, error, _WEIGHT_CHECKS, w_low)
-        rows, error = _cut(rows, error, _WEIGHT_CHECKS, w_high)
-        rows, error = _cut(rows, error, _PLATFORM_CHECKS, np.stack((x_low, x_rn, x_high), axis=-1),
-                           x[0], x[-1])
-        rows, error = _cut(rows, error, _SUPPORT_CHECKS, gaps[:, order[[0, -1]]], h)
     gap_order = np.argsort(gaps[:rows], axis=-1, kind="stable")
     sorted_gaps = np.take_along_axis(gaps[:rows], gap_order, axis=-1)
     sorted_shares = dist.shares[gap_order]
@@ -301,12 +281,11 @@ def _sweep_block(dist, utility, total, premiums, shock):
     # per row, the steps whose sizes differ from row to row
     out = []
     for i in range(rows):
-        xl, xh = x_low[i], x_high[i]
+        xl, _, xh = plat[i].tolist()
         shares, probs = _merged_gap_lottery(sorted_gaps[i], sorted_shares[i], h)
         power = _premium_power(total, premiums[i], unit_clamp(shares))
-        if diverse:
-            nu = (utility.evaluate(power) - offset[i, 0]) / scale[i, 0]
-            _check_payoff_identity(_distance_identity(h, (xh - xl) ** 2), float(np.dot(nu, probs)))
+        nu = (utility.evaluate(power) - offset[i, 0]) / scale[i, 0]
+        _check_payoff_identity(distance_payoff(shock, (xh - xl) ** 2), float(np.dot(nu, probs)))
         rep = welfare_decomposition(_compromise_lottery(xh, xl, power / total, probs), dist)
         out.append(SweepRow(rho_m=premiums[i], x_low=xl, x_high=xh, distance=xh - xl,
                             mean=rep.mean_policy, variance=rep.variance,
@@ -314,23 +293,6 @@ def _sweep_block(dist, utility, total, premiums, shock):
     if error is not None:
         raise error
     return out
-
-
-def _cut(rows, error, checks, *args):
-    """``(rows, error)`` once ``checks`` have run on the first ``rows`` rows of the array ``args``.
-
-    The first row a check fails becomes the block's new end, and that
-    check's error the pending one. Other arguments are passed whole; a check
-    on them alone fails every row or none.
-    """
-    for failed, err, message in checks:
-        if not rows:
-            break
-        hit = np.flatnonzero(failed(*(a[:rows] if isinstance(a, np.ndarray) else a
-                                      for a in args)))
-        if hit.size:
-            rows, error = int(hit[0]), err(message)
-    return rows, error
 
 
 def _utility_rows(utility, power):

@@ -19,6 +19,12 @@ PLATFORMS_TOO_FAR = ("platforms lie too far from the bliss points: the sum of sq
                      "coordinate ranges over both overflows")
 UNRESOLVED = (f"shock half-width {1e300:.17g} is too wide for float resolution: the insurance "
               "term sq / (2h) is lost when added to 0.5, so the payoffs tie")
+FLOAT_RESOLUTION = ("platforms reach the ends of the bliss range within float resolution: the "
+                    "bliss points lie too close together for their weighted averages to fall "
+                    "between them")
+RANK_TIES = ("no local equilibrium resolved: types tie within RANK_TOL = 1e-09 in preference "
+             "gap at every ranking their own platforms weakly reproduce; the bliss points lie "
+             "too close together for the ranking tolerance")
 
 
 def base_scenario(**task):
@@ -50,6 +56,14 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return str(path)
+
+
+def run_second_type_at(tmp_path, subcommand, bliss, name="two_type_plain.json"):
+    """Exit code of ``subcommand`` on a bundled two-type scenario, second bliss point moved."""
+    scenario = json.loads((SCENARIOS / name).read_text())
+    scenario["distribution"]["types"][1]["bliss"] = bliss
+    path = write_scenario(tmp_path, scenario)
+    return main([subcommand, "--scenario", path, "--out", str(tmp_path / "out")])
 
 
 class TestEq1d:
@@ -344,6 +358,48 @@ class TestPreconditionHandling:
         assert main([subcommand, "--scenario", path, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("out/*"))
+
+    # the three families below exited 4: "platforms escaped the interior of the
+    # bliss range", "payoff identity ... disagrees with exact integrator" and "no
+    # local equilibrium found for a symmetric electorate"
+    @pytest.mark.parametrize("subcommand", ["eq1d", "classify", "welfare"])
+    @pytest.mark.parametrize("bliss", [5e-324, -5e-324])
+    def test_bliss_points_within_float_resolution_exit_three(self, tmp_path, capsys, subcommand,
+                                                              bliss):
+        out = tmp_path / "out"
+        assert run_second_type_at(tmp_path, subcommand, [bliss]) == 3
+        assert capsys.readouterr().err == f"error: {FLOAT_RESOLUTION}\n"
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("subcommand,name", [
+        ("eq1d", "two_type_plain.json"), ("classify", "two_type_plain.json"),
+        ("welfare", "two_type_plain.json"), ("eq1d", "two_type_reference.json")])
+    @pytest.mark.parametrize("bliss", [2e-5, 3e-5])
+    def test_gaps_closer_than_the_old_merge_tolerance_exit_zero(self, tmp_path, capsys,
+                                                                subcommand, name, bliss):
+        # the two types' gaps lie 4e-10 (9e-10) apart: merging them moved 2e-10
+        # (4.5e-10) of probability, enough to break the payoff identity's 1e-10
+        assert run_second_type_at(tmp_path, subcommand, [bliss], name) == 0
+        assert capsys.readouterr().err == ""
+        validate_result_record(json.loads((tmp_path / "out" / f"{subcommand}.json").read_text()))
+
+    @pytest.mark.parametrize("bliss", [[1e-300], [5e-324], [-5e-324], [2e-5], [3e-5], None],
+                             ids=["1e-300", "5e-324", "-5e-324", "2e-5", "3e-5", "square-2d"])
+    def test_types_tied_under_rank_tolerance_exit_three(self, tmp_path, capsys, bliss):
+        if bliss is None:       # a square of side 3e-5 in two dimensions
+            side = 3e-5
+            scenario = scenario_2d()
+            scenario["shock"]["half_width"] = 1.0
+            scenario["distribution"]["types"] = [
+                {"bliss": point, "share": 0.25, "label": label} for point, label in
+                zip([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]], "abcd")]
+            argv = ["eqkd", "--scenario", write_scenario(tmp_path, scenario),
+                    "--out", str(tmp_path / "out")]
+            assert main(argv) == 3
+        else:
+            assert run_second_type_at(tmp_path, "eqkd", bliss) == 3
+        assert capsys.readouterr().err == f"error: {RANK_TIES}\n"
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_validate_passes_reference(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario())

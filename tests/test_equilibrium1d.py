@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import polcomp as pc
 from polcomp import equilibrium1d as eq1d
 from polcomp import model
-from polcomp.errors import DimensionError, PreconditionError
+from polcomp.errors import DimensionError, InternalConsistencyError, PreconditionError
 
 from helpers import (
     central_difference,
@@ -74,7 +74,7 @@ class TestClosedForm:
         assert eq.weights_high.tobytes() == w_high.tobytes()
         x_low, x_high = float(w_low @ x), float(w_high @ x)
         assert (eq.x_low.hex(), eq.x_high.hex()) == (x_low.hex(), x_high.hex())
-        assert eq.payoff.hex() == model.distance_payoff(nu, shock, (x_high - x_low) ** 2).hex()
+        assert eq.payoff.hex() == model.distance_payoff(shock, (x_high - x_low) ** 2).hex()
 
     def test_three_type_symmetric_closed_form(self, three_type_symmetric, nu_quadratic):
         shock = pc.Shock(5.0)
@@ -110,8 +110,45 @@ class TestClosedForm:
         w_low, w_high = pc.equilibrium_weights(d.shares, nu_quadratic)
         distance = float((w_high - w_low) @ d.bliss[:, 0])
         assert distance == pytest.approx(1.0, abs=1e-12)
-        assert model.distance_payoff(nu_quadratic, pc.Shock(1.0), distance ** 2) == \
+        assert model.distance_payoff(pc.Shock(1.0), distance ** 2) == \
             pytest.approx(1.0, abs=1e-12)
+
+
+class TestResolutionLimits:
+    def test_payoff_not_finite_at_a_cumulative_share(self):
+        # NaN off the validation grid only; the weights were NaN and every weight
+        # check passed them, so this surfaced as "platforms escaped" (internal)
+        nu = pc.ReducedPayoff(lambda s: np.where(np.asarray(s) == 0.31234, np.nan, np.sqrt(s)))
+        d = pc.VoterDistribution([-1.0, 0.0, 1.0], [0.31234, 0.3, 0.38766])
+        with pytest.raises(PreconditionError, match="^equilibrium weights are not finite: the "
+                                                    "reduced payoff is not finite at a cumulative"):
+            pc.equilibrium_1d(d, nu, pc.Shock(8.0))
+
+    @pytest.mark.parametrize("bliss", [[1.0, 1.0 + 2 ** -52], [1e16, 1e16 + 2.0], [0.0, 5e-324],
+                                       [0.0, -5e-324]])
+    def test_bliss_points_within_float_resolution(self, nu_quadratic, bliss):
+        # a platform lands on an end of the bliss range by rounding alone
+        d = pc.VoterDistribution(bliss, [0.5, 0.5])
+        with pytest.raises(PreconditionError, match="within float resolution"):
+            pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
+
+    def test_escape_past_the_rounding_bound_stays_internal(self, nu_quadratic, monkeypatch):
+        # weights summing to 1 + 5e-11 pass the sum check but carry the high
+        # platform 5e-5 past the top type, far beyond rounding
+        w = np.array([[0.5, 0.5 + 5e-11]])
+        monkeypatch.setattr(eq1d, "_weights_from_values", lambda heads, tails: (w, w))
+        d = pc.VoterDistribution([1e6, 1e6 + 1e-6], [0.5, 0.5])
+        with pytest.raises(InternalConsistencyError, match="platforms escaped"):
+            pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
+
+    @pytest.mark.parametrize("top", [2e-5, 3e-5])
+    def test_gaps_closer_than_the_old_merge_tolerance(self, nu_quadratic, top):
+        # the gaps lie under 1e-9 apart; merging them broke the payoff identity
+        d = pc.VoterDistribution([0.0, top], [0.5, 0.5])
+        eq = pc.equilibrium_1d(d, nu_quadratic, pc.Shock(1.0))
+        assert eq.payoff == model.distance_payoff(pc.Shock(1.0), eq.distance ** 2)
+        assert pc.expected_payoff(d, nu_quadratic, pc.Shock(1.0), eq.pair) == \
+            pytest.approx(eq.payoff, abs=1e-15)
 
 
 class TestBenchmarkAndMedian:
@@ -375,15 +412,15 @@ NU_PAIR = (pc.payoff_preset("quadratic"), pc.payoff_preset("sqrt-sharing"))
 
 @pytest.fixture
 def verify_calls(monkeypatch):
-    """Count the full equilibrium checks run from here on."""
+    """Count the checked solves run from here on."""
     calls = []
-    real = eq1d._verify_equilibrium
+    real = eq1d._solve
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(eq1d, "_verify_equilibrium", counting)
+    monkeypatch.setattr(eq1d, "_solve", counting)
     return calls
 
 

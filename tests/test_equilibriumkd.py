@@ -191,10 +191,10 @@ class TestInducedRanking:
     @given(dist=small_electorates())
     def test_self_consistent_rows_are_their_induced_ranking(self, dist):
         nu = pc.payoff_preset("quadratic")
-        rows, high, low = eqkd._stored_table(dist, nu)
+        rows, high, low, gaps = eqkd._gapped_table(dist, nu)
         want = [pc.induced_ranking(pc.PlatformPair(a, b), dist) == tuple(row)
                 for row, a, b in zip(rows.tolist(), high, low)]
-        assert eqkd._self_consistent(rows, high, low, dist).tolist() == want
+        assert eqkd._self_consistent(rows, gaps).tolist() == want
 
 
 class TestPlatformsForRanking:
@@ -319,6 +319,12 @@ class TestBestResponse:
         shock = shock_for(crafted_4type, margin=600.0)
         with pytest.raises(PreconditionError, match="shock support"):
             pc.best_response([15.0, -22.0], crafted_4type, nu_quadratic, shock)
+
+    def test_opponent_too_far_rejected_without_overflow(self, two_type_2d, nu_quadratic):
+        # the squared distance to the opponent overflowed, with numpy's warning,
+        # before the shock-support check refused it
+        with pytest.raises(PreconditionError, match="^platforms lie too far from the bliss"):
+            pc.best_response([1e200, 0.0], two_type_2d, nu_quadratic, pc.Shock(5.0))
 
     def test_fixed_point_at_preferred(self, crafted_4type, nu_quadratic):
         shock = shock_for(crafted_4type)
@@ -811,6 +817,14 @@ class TestPartyPreferred:
     def test_asymmetric_rejected(self, nu_quadratic, unit_shock):
         d = pc.VoterDistribution([[0.0, 0.0], [1.0, 1.0]], [0.6, 0.4])
         with pytest.raises(PreconditionError):
+            pc.party_preferred_equilibria(d, nu_quadratic, unit_shock)
+
+    @pytest.mark.parametrize("side", [1e-300, 5e-324, 2e-5, 3e-5])
+    def test_types_tied_under_rank_tolerance(self, nu_quadratic, unit_shock, side):
+        # every ranking is weakly self-consistent, but no step of gaps reaches
+        # RANK_TOL: a limit of the tolerance, not an engine fault
+        d = pc.VoterDistribution([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]], [0.25] * 4)
+        with pytest.raises(PreconditionError, match="types tie within RANK_TOL = 1e-09"):
             pc.party_preferred_equilibria(d, nu_quadratic, unit_shock)
 
 

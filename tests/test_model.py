@@ -189,6 +189,13 @@ class TestShock:
         assert pc.Shock(np.finfo(float).max / 2.0).density_at_zero > 0.0
 
 
+    def test_integer_half_width_is_a_float(self, two_type, nu_quadratic):
+        # an int half-width made the lottery's cut array int, and numpy refused to
+        # write the clamped gaps into it
+        assert pc.Shock(1).half_width.hex() == (1.0).hex()
+        assert pc.equilibrium_1d(two_type, nu_quadratic, pc.Shock(1)).payoff == 0.625
+
+
 class TestPreferenceGap:
     def test_identical_platforms_gap_zero(self):
         pair = pc.PlatformPair([0.3, -0.7], [0.3, -0.7])
@@ -206,6 +213,12 @@ class TestPreferenceGap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             pc.preference_gap(pc.PlatformPair([0.0], [1.0]), [1.0, 2.0])
+
+    def test_far_platforms_rejected_without_overflow(self):
+        # the squares overflowed with numpy's warning, and the gap came back NaN
+        with pytest.raises(PreconditionError, match="^platforms lie too far from the bliss"):
+            pc.preference_gap(([1e200], [-1e200]), [0.0])
+        assert pc.preference_gap(([np.inf], [0.0]), [0.0]) == -np.inf    # a limit
 
     @pytest.mark.parametrize("entry", [
         lambda d, pair: pc.preference_gaps(pair, d),
@@ -263,12 +276,12 @@ class TestDistancePayoff:
         dist = pc.VoterDistribution([-1.0, 0.2, 1.0], [0.3, 0.3, 0.4])
         shock = shock_for(dist)
         eq = pc.equilibrium_1d(dist, nu_quadratic, shock)
-        assert eq.payoff == distance_payoff(nu_quadratic, shock, eq.distance ** 2)
+        assert eq.payoff == distance_payoff(shock, eq.distance ** 2)
         assert pc.conflict_issue_payoff(dist, nu_quadratic, shock, 1.0) == eq.payoff
         assert pc.conflict_issue_payoff(dist, nu_quadratic, shock, 0.5) == \
-            distance_payoff(nu_quadratic, shock, 0.5 * eq.distance ** 2)
+            distance_payoff(shock, 0.5 * eq.distance ** 2)
         for local in pc.enumerate_local_equilibria(dist, nu_quadratic, shock):
-            assert local.payoff == distance_payoff(nu_quadratic, shock, local.sq_distance)
+            assert local.payoff == distance_payoff(shock, local.sq_distance)
 
     def test_single_type_earns_the_even_split_value(self, nu_quadratic, unit_shock):
         eq = pc.equilibrium_1d(pc.VoterDistribution([0.3], [1.0]), nu_quadratic, unit_shock)
@@ -282,7 +295,7 @@ HALF_WIDTHS = st.floats(1e-3, 1e3)
 def _assert_exact_unit_span(nu, sq, half_width):
     """Extremes exactly 0 and 1, and the distance identity exactly 0.5 + sq / (2h)."""
     assert nu.value_at_zero == 0.0 and nu.value_at_one == 1.0
-    assert _same_bits(distance_payoff(nu, pc.Shock(half_width), sq),
+    assert _same_bits(distance_payoff(pc.Shock(half_width), sq),
                       0.5 + sq / (2.0 * half_width))
 
 
@@ -497,6 +510,14 @@ class TestVoteShareLottery:
             pair = pc.PlatformPair(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
             _, probs = pc.vote_share_lottery(dist, shock_for(dist), pair)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("half_width,outcomes", [(1.0, 3), (1e3, 2)])
+    def test_merge_tolerance_scales_with_half_width(self, half_width, outcomes):
+        # the two gaps lie 4e-10 apart: distinct at TIE_TOL · h = 1e-12, merged at 1e-9
+        d = pc.VoterDistribution([0.0, 2e-5], [0.5, 0.5])
+        shares, _ = pc.vote_share_lottery(d, pc.Shock(half_width),
+                                          pc.PlatformPair([1.5e-5], [5e-6]))
+        assert len(shares) == outcomes
 
     def test_equal_infinite_gaps_merge(self, two_type, unit_shock):
         # both gaps are -inf; their difference is NaN, which must neither warn nor split them

@@ -305,6 +305,26 @@ class TestPremiumSweep:
             raised.append(str(info.value))
         assert raised[0].startswith(message) and raised[0] == raised[1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("premiums", [[0.0], [0.1, 0.0]])
+    def test_payoff_not_finite_at_a_cumulative_share(self, bad, premiums):
+        # the utility is bad only at the power of the first cumulative share under
+        # premium 0; the sweep raised "preference gaps are NaN" and the
+        # per-premium composition "platforms escaped the interior"
+        def utility(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r == 0.31234, bad, np.sqrt(r))
+
+        u = pc.PowerUtility(utility)
+        d = pc.VoterDistribution([-1.0, 0.0, 1.0], [0.31234, 0.3, 0.38766])
+        raised = []
+        for sweep in (pc.premium_sweep, oracle_premium_sweep):
+            with pytest.raises(PreconditionError) as info:
+                sweep(d, u, 1.0, premiums, pc.Shock(8))
+            raised.append(str(info.value))
+        assert raised[0].startswith("equilibrium weights are not finite")
+        assert raised[0] == raised[1]
+
     def test_out_of_range_premium_raises_before_any_row(self, three_type_symmetric):
         calls = []
         quad = pc.utility_preset("quadratic")
